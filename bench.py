@@ -69,13 +69,6 @@ def run_bench() -> dict:
     ctx = ray.data.DataContext.get_current()
     ctx.enable_progress_bars = False
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    weighted = os.environ.get("GRAFT_WEIGHTED") == "1"
-    if weighted:
-        import tempfile
-
-        from corenlp_ray.models.distill import distill_and_register
-
-        distill_and_register(tempfile.mkdtemp(prefix="graft_weighted_"))
     from corenlp_ray.pipelines.queries import QUERIES
 
     # headline volume: 64 deterministic pages per document row unless the
@@ -123,7 +116,6 @@ def run_bench() -> dict:
         "trials": trials,
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
-        "weighted": weighted,
     }
     if "kg_triples" in timings:
         headline = timings["kg_triples"]

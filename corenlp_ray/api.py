@@ -43,48 +43,31 @@ class Document:
             "text": self.text, "lang": "en"}], schema=PAGES_SCHEMA)
 
     def _need(self, *stages: str):
+        """Run the named registry stages and their prerequisites, each
+        at most once per document."""
         todo = [s for s in stages if s not in self._done]
         if not todo:
             return
-        from corenlp_ray.stages.coref import coref_batch
-        from corenlp_ray.stages.depparse import depparse_batch
-        from corenlp_ray.stages.lemma import lemma_batch
-        from corenlp_ray.stages.ner import ner_batch
-        from corenlp_ray.stages.pos import pos_batch
-        from corenlp_ray.stages.tokenize import tokenize_ssplit_batch
+        from corenlp_ray.pipelines.kg import build, instantiate
 
-        order = [("tokenize", tokenize_ssplit_batch, ()),
-                 ("pos", pos_batch, ("tokenize",)),
-                 ("lemma", lemma_batch, ("pos",)),
-                 ("ner", ner_batch, ("pos",)),
-                 ("depparse", depparse_batch, ("pos",)),
-                 ("coref", coref_batch, ("ner",))]
         tbl = self._tbl if self._done else self._table()
-        for name, fn, reqs in order:
-            wanted = name in todo or any(
-                name in self._transitive(s) for s in todo)
-            if name in self._done or not wanted:
-                continue
-            tbl = fn(tbl)
-            self._done.add(name)
+        for st in build(todo):
+            if st.name not in self._done:
+                tbl = instantiate(st)(tbl)
+                self._done.add(st.name)
         self._tbl = tbl
         self._row = tbl.to_pylist()[0]
 
     @staticmethod
     def _transitive(stage: str) -> Tuple[str, ...]:
-        chains = {
-            "tokenize": ("tokenize",),
-            "pos": ("tokenize", "pos"),
-            "lemma": ("tokenize", "pos", "lemma"),
-            "ner": ("tokenize", "pos", "ner"),
-            "depparse": ("tokenize", "pos", "depparse"),
-            "coref": ("tokenize", "pos", "ner", "coref"),
-            "openie": ("tokenize", "pos", "lemma", "ner", "depparse",
-                       "coref"),
-            "kbp": ("tokenize", "pos", "lemma", "ner", "depparse",
-                    "coref"),
-        }
-        return chains[stage]
+        """``stage`` and its prerequisites in chain order, as the
+        registry resolves them; a triple producer (openie, kbp,
+        relation) needs what its extractor reads."""
+        from corenlp_ray.pipelines.kg import PRODUCER_COLUMNS, build
+
+        if stage in PRODUCER_COLUMNS:
+            return tuple(st.name for st in build((), PRODUCER_COLUMNS[stage]))
+        return tuple(st.name for st in build((stage,)))
 
     def _ensure_triples(self):
         if self._triples_tbl is not None:
@@ -122,15 +105,10 @@ class Document:
     def relations(self) -> Set[Tuple[str, str, str]]:
         """ACE-style relation mentions (the `relation` annotator,
         stages/relation.py — Roth/Yih inventory)."""
-        self._need(*dict.fromkeys(self._transitive("lemma")
-                                  + self._transitive("ner")
-                                  + self._transitive("depparse")))
-        from corenlp_ray.stages.relation import relation_batch
+        from corenlp_ray.pipelines.kg import _MODEL_PATHS, RelationExtractor
 
-        tbl = self._tbl
-        if "url" not in tbl.schema.names:
-            tbl = tbl.append_column("url", pa.array(["simple://doc"]))
-        out = relation_batch(tbl)
+        self._need(*self._transitive("relation"))
+        out = RelationExtractor(_MODEL_PATHS.get("relation"))(self._tbl)
         return {(s, r, o) for s, r, o in zip(
             out.column("subj").to_pylist(), out.column("rel").to_pylist(),
             out.column("obj").to_pylist())}

@@ -27,8 +27,8 @@ from collections import defaultdict
 from typing import Dict, List, Sequence, Tuple
 
 from corenlp_ray.stages.coref import (_UF, _gender_of_person, _strip,
-                                      finalize_clusters, resolve_coref,
-                                      resolve_pronouns)
+                                      coref_batch, finalize_clusters,
+                                      resolve_coref, resolve_pronouns)
 
 _ENTITY_TYPES = ("PERSON", "ORGANIZATION", "LOCATION", "MISC")
 # candidate window: rank against at most this many previous mentions
@@ -217,30 +217,5 @@ class StatisticalCoref:
     def __init__(self, model_path: str):
         self.ranker = CorefRanker.load(model_path)
 
-    def __call__(self, batch):
-        import pyarrow as pa
-
-        chain_c, canon_c, pidx_c, pcan_c = [], [], [], []
-        words_col = batch.column("tok_word").to_pylist()
-        tags_col = batch.column("tok_pos").to_pylist()
-        tsent_col = batch.column("tok_sent").to_pylist()
-        mb = batch.column("men_begin").to_pylist()
-        me = batch.column("men_end").to_pylist()
-        mn = batch.column("men_ner").to_pylist()
-        mv = batch.column("men_norm").to_pylist()
-        for r in range(batch.num_rows):
-            men = list(zip(mb[r], me[r], mn[r], mv[r]))
-            chain, canon, pidx, pcan = self.ranker.resolve(
-                words_col[r], tags_col[r], tsent_col[r], men)
-            chain_c.append(chain)
-            canon_c.append(canon)
-            pidx_c.append(pidx)
-            pcan_c.append(pcan)
-        i32 = pa.list_(pa.int32())
-        s = pa.list_(pa.string())
-        return (batch
-                .append_column("men_chain", pa.array(chain_c, type=i32))
-                .append_column("men_canonical", pa.array(canon_c, type=s))
-                .append_column("pron_idx", pa.array(pidx_c, type=i32))
-                .append_column("pron_canonical",
-                               pa.array(pcan_c, type=s)))
+    def __call__(self, batch, cols: dict | None = None):
+        return coref_batch(batch, cols, resolve=self.ranker.resolve)

@@ -11,13 +11,13 @@ import os
 
 
 def distill_and_register(tmpdir: str) -> None:
-    """Distill the four statistical slots (pos / depparse / kbp / coref)
-    from the cascade's own annotations over a small doc sample and
-    register every weighted path, so the bench times the PINNED-WEIGHT
-    actor pools (the reference's pos.model/depparse.model/.ser.gz
-    configuration). Real licensed corpora drop into the same train()
-    entry points; this self-distillation only exercises the weighted
-    inference path's throughput, not its accuracy."""
+    """Distill every statistical slot from the cascade's own
+    annotations over a small doc sample and register every weighted
+    path, so pipelines built afterwards run the PINNED-WEIGHT stages
+    (the reference's pos.model/depparse.model/.ser.gz configuration).
+    Real licensed corpora drop into the same train() entry points; this
+    self-distillation only exercises the weighted inference path, not
+    its accuracy."""
     from corenlp_ray.api import Document
     from corenlp_ray.models.coref_ranker import CorefRanker
     from corenlp_ray.models.kbp_classifier import KbpClassifier

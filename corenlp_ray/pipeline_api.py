@@ -11,6 +11,9 @@ maps 1:1:
     >>> ann = pl.annotate(pages_ds)          # Dataset -> Dataset
     >>> trip = Pipeline("openie,kbp").triples(pages_ds)
 
+Names map to registry stages (``ANNOTATOR_STAGES``); the stage registry
+(pipelines/registry.py) closes them over their prerequisites and orders
+them, the same resolution every other execution shape runs.
 ``annotate`` appends annotation columns via the registered stages
 (actor pools when ``distributed=True``); ``triples`` additionally runs
 the fused openie∪kbp extraction when either is requested. Unknown
@@ -21,11 +24,12 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-# CoreNLP annotator name → this engine's registry stage(s). ssplit is
-# fused into tokenize (WordToSentenceProcessor runs inside the same
-# kernel); entitymentions/regexner/docdate are part of the ner stage;
-# dcoref is the sieve coref. Names match Annotator.java's
-# STANFORD_* constants.
+# CoreNLP annotator name → this engine's registry stage(s), plus any
+# prerequisite the reference declares that no column read implies
+# (natlog→lemma, quote→coref, openie→natlog). ssplit is fused into
+# tokenize (WordToSentenceProcessor runs inside the same kernel);
+# entitymentions/regexner/docdate are part of the ner stage; dcoref is
+# the sieve coref. Names match Annotator.java's STANFORD_* constants.
 ANNOTATOR_STAGES = {
     "cleanxml": ("cleanxml",),
     "tokenize": ("tokenize",),
@@ -41,57 +45,26 @@ ANNOTATOR_STAGES = {
     "coref": ("coref",),
     "dcoref": ("coref",),
     "coref.mention": ("coref",),
-    "natlog": ("natlog",),
+    "natlog": ("lemma", "natlog"),
     "entitylink": ("entitylink",),
     "gender": ("gender",),
     "truecase": ("truecase",),
-    "quote": ("quote",),
+    "quote": ("coref", "quote"),
     "sentiment": ("parse", "sentiment_tree"),
-    # triple producers: annotation prerequisites here; extraction runs
-    # in .triples() (the engine emits triples as their own Dataset,
-    # not sentence-attached CoreMaps)
-    "openie": (),
+    # triple producers: extraction runs in .triples() (the engine emits
+    # triples as their own Dataset, not sentence-attached CoreMaps); the
+    # columns their extractors read pull the rest of the chain
+    "openie": ("natlog",),
     "kbp": (),
     "relation": (),
 }
 
-# DEFAULT_REQUIREMENTS analogue (Annotator.java:200+), transitive
-# closure applied like ensurePrerequisiteAnnotators.
-REQUIREMENTS = {
-    "tokenize": (),
-    "ssplit": ("tokenize",),
-    "cleanxml": (),
-    "pos": ("tokenize", "ssplit"),
-    "lemma": ("pos",),
-    "ner": ("pos",),
-    "regexner": ("ner",),
-    "entitymentions": ("ner",),
-    "docdate": (),
-    "depparse": ("pos",),
-    "parse": ("depparse",),
-    "coref.mention": ("ner",),
-    "coref": ("ner",),
-    "dcoref": ("ner",),
-    "natlog": ("depparse", "lemma"),
-    "entitylink": ("ner",),
-    "gender": ("ner",),
-    "truecase": ("tokenize",),
-    "quote": ("lemma", "ner", "coref"),
-    "sentiment": ("parse",),
-    "openie": ("natlog", "coref"),
-    "kbp": ("lemma", "ner", "depparse", "coref"),
-    "relation": ("lemma", "ner", "depparse"),
-}
-
-# canonical execution order over registry stage names
-_STAGE_ORDER = ("cleanxml", "tokenize", "pos", "lemma", "ner",
-                "depparse", "coref", "natlog", "entitylink", "gender",
-                "truecase", "quote", "parse", "sentiment_tree")
-
 
 def resolve_annotators(annotators: str | Sequence[str]) -> List[str]:
-    """Comma list → transitively-closed, canonically-ordered registry
-    stage list (ensurePrerequisiteAnnotators semantics)."""
+    """Comma list → prerequisite-closed, chain-ordered registry stage
+    list (ensurePrerequisiteAnnotators semantics)."""
+    from corenlp_ray.pipelines.kg import PRODUCER_COLUMNS, build
+
     names = [a.strip().lower() for a in
              (annotators.split(",") if isinstance(annotators, str)
               else annotators) if a.strip()]
@@ -99,17 +72,9 @@ def resolve_annotators(annotators: str | Sequence[str]) -> List[str]:
     if unknown:
         raise ValueError("unknown annotator(s): %s (known: %s)"
                          % (unknown, sorted(ANNOTATOR_STAGES)))
-    closed, fringe = set(), list(names)
-    while fringe:
-        n = fringe.pop()
-        if n in closed:
-            continue
-        closed.add(n)
-        fringe.extend(REQUIREMENTS.get(n, ()))
-    stages = set()
-    for n in closed:
-        stages.update(ANNOTATOR_STAGES[n])
-    return [s for s in _STAGE_ORDER if s in stages]
+    stages = [s for n in names for s in ANNOTATOR_STAGES[n]]
+    columns = [c for n in names for c in PRODUCER_COLUMNS.get(n, ())]
+    return [st.name for st in build(stages, columns)]
 
 
 # model-path property keys → register_weighted_models kwargs (the
@@ -172,16 +137,16 @@ class Pipeline:
     def annotate(self, pages_ds):
         """pages/docs Dataset → Dataset with annotation columns
         appended (stage registry; actor pools when distributed)."""
-        import corenlp_ray.pipelines.kg  # noqa: F401  (registers stages)
-        from corenlp_ray.pipelines.registry import apply
+        from corenlp_ray.pipelines.kg import apply
 
         return apply(pages_ds, tuple(self.stages),
                      distributed=self.distributed)
 
     def triples(self, pages_ds):
         """pages Dataset → triples Dataset. openie/kbp run fused (one
-        extraction pass); relation runs its own stage. Raises unless at
-        least one triple producer was requested."""
+        extraction pass); relation runs its own extractor (trained
+        weights when ``relation.model`` is set). Raises unless at least
+        one triple producer was requested."""
         producers = {"openie", "kbp", "relation"} & set(self.annotators)
         if not producers:
             raise ValueError(
@@ -205,6 +170,6 @@ class Pipeline:
                 out = out.map_batches(keep, batch_format="pyarrow")
             return out
         # relation only
-        from corenlp_ray.stages.relation import relation_batch
+        from corenlp_ray.pipelines.kg import extract_relations
 
-        return ann.map_batches(relation_batch, batch_format="pyarrow")
+        return extract_relations(ann, distributed=self.distributed)

@@ -3,6 +3,13 @@
 pages → extract_text → tokenize+ssplit → pos → lemma → ner → depparse →
 coref → (openie ∪ kbp) triples → canonicalization shuffle → KG store.
 
+The annotation chain is not written out here: it is what the stage
+registry resolves for ``ANNOTATE_STAGES`` — cleanxml plus every stage
+the triple extractor's columns need, in registration order. The staged
+path (``annotate_pages`` + ``extract_triples``), the fused actor
+(``FusedDocAnnotator``) and the simple API all run that resolution, so
+a slot installed with ``register_weighted_models`` reaches each of them.
+
 Stage compute shapes (SURVEY §7.3):
   * stateless tasks: extract, tokenize, lemma, coref, openie
   * actor pools:     pos, ner, depparse, kbp (model state pinned per actor)
@@ -14,9 +21,13 @@ The default registry below is the annotator-name table
 """
 from __future__ import annotations
 
-from corenlp_ray.pipelines.registry import Stage, apply, register
-from corenlp_ray.stages.canonicalize import (build_alias_map, build_kg,
-                                             resolve_alias_scale, write_kg)
+from dataclasses import replace
+from importlib import import_module
+
+from corenlp_ray.pipelines.registry import (Stage, apply, build, get,
+                                            instantiate, map_stage,
+                                            register)
+from corenlp_ray.stages.canonicalize import build_kg, resolve_alias_scale
 from corenlp_ray.stages.coref import coref_batch
 from corenlp_ray.stages.depparse import DepParser
 from corenlp_ray.stages.extract import extract_text_batch
@@ -25,7 +36,9 @@ from corenlp_ray.stages.lemma import lemma_batch
 from corenlp_ray.stages.ner import NerTagger
 from corenlp_ray.stages.openie import openie_batch
 from corenlp_ray.stages.pos import PosTagger
+from corenlp_ray.stages.relation import RELATION_COLUMNS, RelationExtractor
 from corenlp_ray.stages.tokenize import tokenize_ssplit_batch
+
 
 def _ncpus() -> int:
     import ray
@@ -51,20 +64,25 @@ def _pool() -> dict:
 
 
 # ---- the annotator registry (names mirror the reference's canon) ----
+# Registration order is chain order, and the first stage registered with
+# a column is its default provider.
 register(Stage("cleanxml", (), ("text_extracted",), extract_text_batch))
-register(Stage("tokenize", (), ("tok_word", "tok_sent", "sent_begin"),
-               tokenize_ssplit_batch))
+register(Stage("tokenize", (),
+               ("tok_word", "tok_orig", "tok_begin", "tok_end", "tok_sent",
+                "sent_begin", "sent_end"), tokenize_ssplit_batch))
 register(Stage("pos", ("tok_word",), ("tok_pos",), PosTagger, _pool))
 register(Stage("lemma", ("tok_pos",), ("tok_lemma",), lemma_batch))
-register(Stage("ner", ("tok_pos",), ("tok_ner", "men_begin"), NerTagger,
-               _pool))
+register(Stage("ner", ("tok_pos",),
+               ("tok_ner", "men_begin", "men_end", "men_sent", "men_ner",
+                "men_norm"), NerTagger, _pool))
 register(Stage("depparse", ("tok_pos",), ("dep_head", "dep_label"), DepParser,
                _pool))
-register(Stage("coref", ("men_begin", "tok_pos"),
-               ("men_chain", "men_canonical", "pron_idx"), coref_batch))
+_COREF_COLUMNS = ("men_chain", "men_canonical", "pron_idx", "pron_canonical")
+register(Stage("coref", ("men_begin", "tok_pos"), _COREF_COLUMNS,
+               coref_batch))
 from corenlp_ray.stages.coref import coref_full_batch  # noqa: E402
-register(Stage("coref.full", ("men_begin", "tok_pos"),
-               ("men_chain", "men_canonical", "pron_idx"),
+# the full sieve stack: an alternative provider, run only when named
+register(Stage("coref.full", ("men_begin", "tok_pos"), _COREF_COLUMNS,
                coref_full_batch))
 
 # optional annotators (not in the flagship chain; demand-driven)
@@ -97,91 +115,60 @@ from corenlp_ray.stages.sentiment import sentiment_tree_batch  # noqa: E402
 register(Stage("sentiment_tree", ("parse_tree",),
                ("sent_sentiment_tree",), sentiment_tree_batch))
 
+# The annotation columns TripleExtractor reads besides the input ``url``.
+TRIPLE_COLUMNS = ("tok_word", "tok_pos", "tok_lemma", "sent_begin",
+                  "sent_end", "dep_head", "dep_label", "men_begin",
+                  "men_end", "men_ner", "men_norm", "men_canonical",
+                  "pron_idx", "pron_canonical")
+# A triple producer's prerequisites: the columns its extractor reads.
+PRODUCER_COLUMNS = {"openie": TRIPLE_COLUMNS, "kbp": TRIPLE_COLUMNS,
+                    "relation": RELATION_COLUMNS}
 
-# KBP statistical-extractor slot (KBPEnsembleExtractor's last
-# fallback): set via register_weighted_models(kbp_model_path=...);
-# read at pipeline-construction time on the driver and shipped to the
-# extraction actors as a constructor kwarg.
-_KBP_MODEL_PATH: str | None = None
-
-
-def register_weighted_models(pos_model_path: str | None = None,
-                             dep_model_path: str | None = None,
-                             kbp_model_path: str | None = None,
-                             coref_model_path: str | None = None,
-                             parse_model_path: str | None = None,
-                             ner_model_path: str | None = None,
-                             sentiment_model_path: str | None = None,
-                             relation_model_path: str | None = None) -> None:
-    """Swap the rule cascades for TRAINED weights (the pinned-model
-    actor stages in models/): re-registers 'pos' and/or 'depparse' so
-    every pipeline built afterwards (incl. the flagship KG chain) runs
-    the weighted path. The reference's equivalent is pointing
-    pos.model / depparse.model at different .ser.gz files."""
-    if pos_model_path is not None:
-        from corenlp_ray.stages.pos import WeightedPosTagger
-
-        register(Stage("pos", ("tok_word",), ("tok_pos",),
-                       WeightedPosTagger,
-                       lambda: {**(_pool() if callable(_pool) else _pool),
-                                "fn_constructor_kwargs":
-                                    {"model_path": pos_model_path}}))
-    if dep_model_path is not None:
-        from corenlp_ray.stages.depparse import WeightedDepParser
-
-        register(Stage("depparse", ("tok_pos",),
-                       ("dep_head", "dep_label"), WeightedDepParser,
-                       lambda: {**(_pool() if callable(_pool) else _pool),
-                                "fn_constructor_kwargs":
-                                    {"model_path": dep_model_path}}))
-    if kbp_model_path is not None:
-        global _KBP_MODEL_PATH
-        _KBP_MODEL_PATH = kbp_model_path
-    if coref_model_path is not None:
-        from corenlp_ray.models.coref_ranker import StatisticalCoref
-
-        register(Stage("coref", ("men_begin", "tok_pos"),
-                       ("men_chain", "men_canonical", "pron_idx"),
-                       StatisticalCoref,
-                       lambda: {**(_pool() if callable(_pool) else _pool),
-                                "fn_constructor_kwargs":
-                                    {"model_path": coref_model_path}}))
-    if parse_model_path is not None:
-        from corenlp_ray.stages.parse_tree import WeightedParseTree
-
-        register(Stage("parse", ("tok_pos", "dep_head"), ("parse_tree",),
-                       WeightedParseTree,
-                       lambda: {**(_pool() if callable(_pool) else _pool),
-                                "fn_constructor_kwargs":
-                                    {"model_path": parse_model_path}}))
-    if ner_model_path is not None:
-        from corenlp_ray.stages.ner import WeightedNerTagger
-
-        register(Stage("ner", ("tok_pos",), ("tok_ner", "men_begin"),
-                       WeightedNerTagger,
-                       lambda: {**(_pool() if callable(_pool) else _pool),
-                                "fn_constructor_kwargs":
-                                    {"model_path": ner_model_path}}))
-    if sentiment_model_path is not None:
-        from corenlp_ray.stages.sentiment import WeightedSentimentTree
-
-        register(Stage("sentiment_tree", ("parse_tree",),
-                       ("sent_sentiment_tree",), WeightedSentimentTree,
-                       lambda: {**(_pool() if callable(_pool) else _pool),
-                                "fn_constructor_kwargs":
-                                    {"model_path": sentiment_model_path}}))
-    if relation_model_path is not None:
-        global _RELATION_MODEL_PATH
-        _RELATION_MODEL_PATH = relation_model_path
+# The flagship annotation chain: cleanxml plus every stage the triple
+# extractor's columns need.
+ANNOTATE_STAGES = tuple(st.name for st in build(("cleanxml",),
+                                                TRIPLE_COLUMNS))
 
 
-# trained ACE-relation weights bound by register_weighted_models (the
-# relation stage is not in the default chain, matching the reference's
-# annotator defaults; consumers pass this to RelationExtractor)
-_RELATION_MODEL_PATH: str | None = None
+# register_weighted_models keyword → (slot, corenlp_ray module, trained-
+# weights class). A stage slot re-registers that stage as the class's
+# pinned-weight actor; a triple-producer slot (no class) records the path
+# in _MODEL_PATHS for its extractor, and the driver ships it to the actors.
+_WEIGHTED_SLOTS = {
+    "pos_model_path": ("pos", "stages.pos", "WeightedPosTagger"),
+    "dep_model_path": ("depparse", "stages.depparse", "WeightedDepParser"),
+    "ner_model_path": ("ner", "stages.ner", "WeightedNerTagger"),
+    "coref_model_path": ("coref", "models.coref_ranker", "StatisticalCoref"),
+    "parse_model_path": ("parse", "stages.parse_tree", "WeightedParseTree"),
+    "sentiment_model_path": ("sentiment_tree", "stages.sentiment",
+                             "WeightedSentimentTree"),
+    "kbp_model_path": ("kbp", None, None),
+    "relation_model_path": ("relation", None, None),
+}
+_MODEL_PATHS: dict = {}
 
-ANNOTATE_STAGES = ("cleanxml", "tokenize", "pos", "lemma", "ner",
-                   "depparse", "coref")
+
+def register_weighted_models(**model_paths: str | None) -> None:
+    """Swap rule cascades for TRAINED weights, one slot per keyword in
+    ``_WEIGHTED_SLOTS``: the pos, depparse, ner, coref, parse and
+    sentiment_tree stages, and the kbp and relation extractors. Every
+    pipeline built afterwards runs the weighted path: the staged chain,
+    the fused KG chain, the Pipeline API and the simple API. The
+    reference's equivalent is pointing pos.model / depparse.model /
+    kbp.model / ... at different .ser.gz files."""
+    unknown = sorted(set(model_paths) - set(_WEIGHTED_SLOTS))
+    if unknown:
+        raise TypeError(f"unknown model slot(s): {unknown}")
+    for key, path in model_paths.items():
+        slot, module, cls = _WEIGHTED_SLOTS[key]
+        if path is None:
+            continue
+        if module is None:
+            _MODEL_PATHS[slot] = path
+            continue
+        fn = getattr(import_module(f"corenlp_ray.{module}"), cls)
+        register(replace(get(slot), fn=fn, compute=_pool,
+                         init_kwargs={"model_path": path}))
 
 
 def annotate_pages(pages_ds, distributed: bool = True):
@@ -197,7 +184,7 @@ class TripleExtractor:
 
     def __init__(self, kbp_classifier_path=None):
         self.kbp = KbpExtractor(classifier_path=kbp_classifier_path
-                                or _KBP_MODEL_PATH)
+                                or _MODEL_PATHS.get("kbp"))
 
     def __call__(self, batch, cols=None):
         import pyarrow as pa
@@ -209,29 +196,31 @@ class TripleExtractor:
         # stages have already deposited most of these.
         from corenlp_ray.stages._cache import col
 
-        shared = {name: col(batch, name, cols) for name in (
-            "url", "tok_word", "tok_pos", "tok_lemma", "sent_begin",
-            "sent_end", "dep_head", "dep_label", "men_begin", "men_end",
-            "men_ner", "men_norm", "men_canonical", "pron_idx",
-            "pron_canonical")}
+        shared = {name: col(batch, name, cols)
+                  for name in ("url",) + TRIPLE_COLUMNS}
         return pa.concat_tables([openie_batch(batch, cols=shared),
                                  self.kbp(batch, cols=shared)])
 
 
 def extract_triples(docs_ds, distributed: bool = True):
     """annotated docs → triples Dataset (openie ∪ kbp, single pass)."""
-    if distributed:
-        return docs_ds.map_batches(
-            TripleExtractor, batch_format="pyarrow",
-            fn_constructor_kwargs={"kbp_classifier_path": _KBP_MODEL_PATH},
-            **_pool())
-    inst = TripleExtractor()
-    return docs_ds.map_batches(lambda b: inst(b), batch_format="pyarrow")
+    return map_stage(docs_ds, Stage(
+        "triples", TRIPLE_COLUMNS, (), TripleExtractor, _pool,
+        {"kbp_classifier_path": _MODEL_PATHS.get("kbp")}), distributed)
+
+
+def extract_relations(docs_ds, distributed: bool = True):
+    """annotated docs → ACE relation rows (trained weights when the
+    relation slot is registered, else the rule cascade)."""
+    return map_stage(docs_ds, Stage(
+        "relation", RELATION_COLUMNS, (), RelationExtractor, _pool,
+        {"model_path": _MODEL_PATHS.get("relation")}), distributed)
 
 
 class FusedDocAnnotator:
-    """The whole per-document chain (extract → tokenize → pos → lemma →
-    ner → depparse → coref → openie+kbp) in ONE actor-pool stage.
+    """The whole per-document chain in ONE actor-pool stage: the
+    resolved annotation stages run in-process over one shared pylist
+    cache, then ``TripleExtractor``.
 
     This is the flagship execution shape: the chain is per-row pure, so
     fusing it removes inter-pool block transfers and — decisively — the
@@ -239,14 +228,21 @@ class FusedDocAnnotator:
     heaviest stage; one pool self-balances). It mirrors the reference's
     own execution: one in-process annotator pipeline per document
     (AnnotationPipeline.java:66-83), here replicated per actor. The
-    staged path (annotate_pages + extract_triples) remains for partial
-    pipelines and demand-driven outputs; kernels are IDENTICAL, so both
-    paths produce identical triples (tested)."""
+    staged path (annotate_pages + extract_triples) runs the SAME
+    resolved stages, so both paths produce identical triples (tested).
 
-    def __init__(self, kbp_classifier_path=None):
-        self.pos = PosTagger()
-        self.ner = NerTagger()
-        self.dep = DepParser()
+    ``stages`` defaults to ``build(ANNOTATE_STAGES)`` resolved in this
+    process. An actor gets them from the driver instead (see
+    ``_fused_pool``): a Ray worker imports a fresh default registry, so
+    resolving there would drop registered weighted slots."""
+
+    def __init__(self, stages=None, kbp_classifier_path=None):
+        self.chain = {st.name: instantiate(st)
+                      for st in stages or build(ANNOTATE_STAGES)}
+        # per-stage handles for harnesses that time the chain a stage
+        # at a time
+        self.pos, self.ner, self.dep = map(self.chain.get,
+                                           ("pos", "ner", "depparse"))
         self.triples = TripleExtractor(kbp_classifier_path)
 
     def __call__(self, batch):
@@ -255,44 +251,22 @@ class FusedDocAnnotator:
         # killing the repeated Arrow→pylist conversions (tok_word alone
         # was re-converted by six kernels — stages/_cache.py)
         cols: dict = {}
-        b = extract_text_batch(batch)
-        b = tokenize_ssplit_batch(b, cols=cols)
-        b = self.pos(b, cols=cols)
-        b = lemma_batch(b, cols=cols)
-        b = self.ner(b, cols=cols)
-        b = self.dep(b, cols=cols)
-        b = coref_batch(b, cols=cols)
-        return self.triples(b, cols=cols)
-
-
-def pages_to_triples(pages_ds, distributed: bool = True):
-    """pages → triples via the fused annotator pool (one actor per CPU,
-    minus a driver/IO share)."""
-    if distributed:
-        n = _ncpus()
-        # n-1 actors, floor 1: the pool must never reserve EVERY cpu or
-        # the upstream read tasks starve and the pipeline wedges
-        return pages_ds.map_batches(
-            FusedDocAnnotator, batch_format="pyarrow", batch_size=16,
-            concurrency=max(1, n - 1), num_cpus=1,
-            fn_constructor_kwargs={
-                "kbp_classifier_path": _KBP_MODEL_PATH})
-    inst = FusedDocAnnotator()
-    return pages_ds.map_batches(lambda b: inst(b), batch_format="pyarrow")
+        for stage in self.chain.values():
+            batch = stage(batch, cols=cols)
+        return self.triples(batch, cols=cols)
 
 
 class DocsToTriples(FusedDocAnnotator):
-    """documents rows → synthesized pages → triples, all inside ONE actor
-    pool — page synthesis and the lang filter run on the pool too, so no
-    task stage competes with the reserved actors for CPUs (explicit
-    fusion instead of relying on the planner's operator-fusion
-    heuristics)."""
+    """documents rows → synthesized English pages → triples, all inside
+    ONE actor pool — page synthesis and the lang filter run on the pool
+    too, so no task stage competes with the reserved actors for CPUs
+    (explicit fusion instead of relying on the planner's
+    operator-fusion heuristics)."""
 
-    def __init__(self, pages_per_doc: int = 1, lang_filter: str = "en",
+    def __init__(self, pages_per_doc: int = 1, stages=None,
                  kbp_classifier_path=None):
-        super().__init__(kbp_classifier_path)
+        super().__init__(stages, kbp_classifier_path)
         self.pages_per_doc = pages_per_doc
-        self.lang_filter = lang_filter
 
     def __call__(self, batch):
         import pyarrow.compute as pc
@@ -300,14 +274,33 @@ class DocsToTriples(FusedDocAnnotator):
         from corenlp_ray.sources.pages import _docs_to_pages
 
         pages = _docs_to_pages(batch, self.pages_per_doc)
-        if self.lang_filter:
-            pages = pages.filter(
-                pc.equal(pages.column("lang"), self.lang_filter))
-        return super().__call__(pages)
+        return super().__call__(
+            pages.filter(pc.equal(pages.column("lang"), "en")))
 
 
-def documents_to_triples(sf_dir: str, pages_per_doc: int | None = None,
-                         lang_filter: str = "en"):
+def _fused_pool(ds, cls, ctor: dict, **map_kwargs):
+    """``cls`` (a FusedDocAnnotator) as one actor per CPU minus a
+    driver/IO share. Its stages and kbp weights are resolved HERE, on
+    the driver, and shipped as constructor kwargs."""
+    # n-1 actors, floor 1: the pool must never reserve EVERY cpu or
+    # the upstream read tasks starve and the pipeline wedges
+    return ds.map_batches(
+        cls, batch_format="pyarrow", concurrency=max(1, _ncpus() - 1),
+        num_cpus=1, fn_constructor_kwargs={
+            "stages": build(ANNOTATE_STAGES),
+            "kbp_classifier_path": _MODEL_PATHS.get("kbp"), **ctor},
+        **map_kwargs)
+
+
+def pages_to_triples(pages_ds, distributed: bool = True):
+    """pages → triples via the fused annotator pool."""
+    if distributed:
+        return _fused_pool(pages_ds, FusedDocAnnotator, {}, batch_size=16)
+    inst = FusedDocAnnotator()
+    return pages_ds.map_batches(lambda b: inst(b), batch_format="pyarrow")
+
+
+def documents_to_triples(sf_dir: str, pages_per_doc: int | None = None):
     """The flagship front half: documents.parquet → triples Dataset, one
     fused actor pool, read split for sub-second task granularity."""
     import os
@@ -318,83 +311,47 @@ def documents_to_triples(sf_dir: str, pages_per_doc: int | None = None,
     if pages_per_doc is None:
         pages_per_doc = int(os.environ.get("GRAFT_PAGES_PER_DOC", "1"))
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    n = _ncpus()
     # granularity: ~4 tasks per actor balances the pool without drowning
     # the scheduler in per-task dispatch overhead
-    blocks = max(8, min(n_docs, 4 * n))
+    blocks = max(8, min(n_docs, 4 * _ncpus()))
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "lang", "text"],
                            override_num_blocks=blocks)
-    return docs.map_batches(
-        DocsToTriples, batch_format="pyarrow",
-        concurrency=max(1, n - 1), num_cpus=1,
-        fn_constructor_kwargs={"pages_per_doc": pages_per_doc,
-                               "lang_filter": lang_filter,
-                               "kbp_classifier_path": _KBP_MODEL_PATH})
+    return _fused_pool(docs, DocsToTriples, {"pages_per_doc": pages_per_doc})
 
 
-def kg_pipeline(pages_ds, num_buckets: int = 16, canonicalize: bool = True,
-                lang_filter: str = "en", distributed: bool = True,
-                checkpoint_dir: str | None = None, fused: bool = True):
-    """Full pipeline: pages → KG Dataset (not yet written).
-
-    English-only (documented limitation, SURVEY §2.2 row 26): non-en rows
-    are dropped at the head — prune before any expensive stage.
-
-    The triples table is a stage boundary consumed twice (alias-map
-    aggregate + dedup shuffle), so it is pinned once: checkpointed to
-    Parquet when ``checkpoint_dir`` is given (the resume point — rerun
-    skips the whole annotation chain), else materialized in the object
-    store (triples ≪ pages, the safe-materialize regime)."""
-    import pyarrow.compute as pc
-
-    if lang_filter:
-        pages_ds = pages_ds.map_batches(
-            lambda b: b.filter(pc.equal(b.column("lang"), lang_filter)),
-            batch_format="pyarrow")
-    if fused:
-        triples = pages_to_triples(pages_ds, distributed=distributed)
-    else:
-        docs = annotate_pages(pages_ds, distributed=distributed)
-        triples = extract_triples(docs, distributed=distributed)
-    if canonicalize:
-        if checkpoint_dir:
-            import ray.data as rd
-
-            triples.write_parquet(checkpoint_dir)
-            triples = rd.read_parquet(checkpoint_dir)
-        else:
-            # coalesce the ~hundreds of annotation-task micro-blocks before
-            # the wide phases — groupby fan-out scales with block count,
-            # and triples rows are tiny relative to the pages they came from
-            triples = triples.repartition(_ncpus()).materialize()
-        # broadcast dict below ALIAS_VOCAB_BROADCAST_MAX surface forms,
-        # fully distributed argmax + bucketed-join rewrite above it
-        alias, triples = resolve_alias_scale(triples)
-    else:
-        alias = None
-    return build_kg(triples, alias_map=alias, num_buckets=num_buckets)
-
-
-def kg_from_documents(sf_dir: str, num_buckets: int = 16,
-                      pages_per_doc: int | None = None,
-                      checkpoint_dir: str | None = None):
-    """Flagship end-to-end: documents.parquet → KG Dataset via the fused
-    pool + canonicalization shuffle (triples pinned at the stage
-    boundary)."""
-    import ray.data as rd
-
-    triples = documents_to_triples(sf_dir, pages_per_doc=pages_per_doc)
-    if checkpoint_dir:
-        triples.write_parquet(checkpoint_dir)
-        triples = rd.read_parquet(checkpoint_dir)
-    else:
-        triples = triples.repartition(_ncpus()).materialize()
+def _triples_to_kg(triples, num_buckets: int):
+    """The shared KG tail. The triples table is a stage boundary consumed
+    twice (alias-map aggregate + dedup shuffle), so it is pinned once in
+    the object store (triples ≪ pages, the safe-materialize regime)."""
+    # coalesce the ~hundreds of annotation-task micro-blocks before the
+    # wide phases — groupby fan-out scales with block count, and triples
+    # rows are tiny relative to the pages they came from
+    triples = triples.repartition(_ncpus()).materialize()
+    # broadcast dict below ALIAS_VOCAB_BROADCAST_MAX surface forms, fully
+    # distributed argmax + bucketed-join rewrite above it
     alias, triples = resolve_alias_scale(triples)
     return build_kg(triples, alias_map=alias, num_buckets=num_buckets)
 
 
-def run_kg(pages_ds, out_path: str, **kw):
-    kg = kg_pipeline(pages_ds, **kw)
-    write_kg(kg, out_path)
-    return kg
+def kg_pipeline(pages_ds, num_buckets: int = 16, distributed: bool = True):
+    """Full pipeline: pages → KG Dataset (not yet written).
+
+    English-only (documented limitation, SURVEY §2.2 row 26): non-en rows
+    are dropped at the head — prune before any expensive stage."""
+    import pyarrow.compute as pc
+
+    pages_ds = pages_ds.map_batches(
+        lambda b: b.filter(pc.equal(b.column("lang"), "en")),
+        batch_format="pyarrow")
+    return _triples_to_kg(pages_to_triples(pages_ds, distributed=distributed),
+                          num_buckets)
+
+
+def kg_from_documents(sf_dir: str, num_buckets: int = 16,
+                      pages_per_doc: int | None = None):
+    """Flagship end-to-end: documents.parquet → KG Dataset via the fused
+    pool + canonicalization shuffle."""
+    return _triples_to_kg(
+        documents_to_triples(sf_dir, pages_per_doc=pages_per_doc),
+        num_buckets)

@@ -999,9 +999,9 @@ def q_kg_triples(sf_dir: str):
 
 
 def q_kg_triples_weighted(sf_dir: str):
-    """The flagship chain with ALL four statistical slots registered
-    (perceptron pos, arc-standard depparse, coref ranker, kbp LR
-    ensemble member — models self-distilled at query time; real
+    """The flagship chain with every statistical slot registered
+    (perceptron pos, arc-standard depparse, CRF ner, coref ranker, kbp
+    LR ensemble member, ... — models self-distilled at query time; real
     trained weights drop into the same register_weighted_models
     paths). Rows-only: the weighted cascade's outputs differ from the
     rule cascade by design. Placed LAST in QUERIES and the registry is
@@ -1013,9 +1013,7 @@ def q_kg_triples_weighted(sf_dir: str):
     from corenlp_ray.pipelines import kg as kg_mod
     from corenlp_ray.pipelines import registry
 
-    saved = {n: registry.get(n)
-             for n in ("pos", "depparse", "coref", "parse", "ner")}
-    saved_kbp = kg_mod._KBP_MODEL_PATH
+    saved, saved_paths = registry.registry(), dict(kg_mod._MODEL_PATHS)
     try:
         distill_and_register(tempfile.mkdtemp(prefix="graft_wq_"))
         kg = kg_mod.kg_from_documents(sf_dir, num_buckets=16)
@@ -1025,7 +1023,7 @@ def q_kg_triples_weighted(sf_dir: str):
     finally:
         for st in saved.values():
             registry.register(st)
-        kg_mod._KBP_MODEL_PATH = saved_kbp
+        kg_mod._MODEL_PATHS = saved_paths
 
 
 def q_entity_linking(sf_dir: str):

@@ -8,16 +8,20 @@ Annotator.java:54-84, StanfordCoreNLP.ensurePrerequisiteAnnotators
 (customAnnotatorClass.*, StanfordCoreNLP.java:150,686-688).
 
 A Stage is (name, requires, provides, fn-or-actor-class, map_batches
-kwargs). ``build(names)`` resolves transitive requirements and returns the
-stages in dependency order; ``apply`` chains them onto a Dataset with
-``batch_format="pyarrow"`` and zero-copy batches. Demand-driven assembly
-(the simple-API trick, simple/Document.java): ask for only the stages
-whose outputs you need.
+kwargs, constructor kwargs). The registry is the ONE definition of chain
+order and prerequisites: ``build(names, columns)`` closes the request
+over ``requires``/``provides`` and returns the stages in registration
+order, which is the chain order. Every execution shape composes what
+``build`` returns: ``apply`` chains the stages onto a Dataset (one
+map_batches each), the fused KG actor and the simple API call them
+in-process (``instantiate``). Demand-driven assembly (the simple-API
+trick, simple/Document.java): ask for only the stages whose outputs you
+need.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -30,12 +34,20 @@ class Stage:
     # a dict, or a zero-arg callable evaluated at apply time (lets pool
     # sizes adapt to the cluster CPU count)
     compute: Union[dict, Callable[[], dict]] = field(default_factory=dict)
+    # constructor kwargs of an actor-class ``fn`` (e.g. a trained
+    # model's path): shipped as fn_constructor_kwargs, and readable
+    # in-process without evaluating ``compute``
+    init_kwargs: dict = field(default_factory=dict)
 
 
 _REGISTRY: Dict[str, Stage] = {}
 
 
 def register(stage: Stage) -> Stage:
+    """Add a stage, or replace one in place (a re-registered name keeps
+    its chain position). A column's default provider is the FIRST stage
+    registered with it: an alternative implementation registered later
+    under its own name (``coref.full``) runs only when requested."""
     _REGISTRY[stage.name] = stage
     return stage
 
@@ -48,31 +60,52 @@ def registry() -> Dict[str, Stage]:
     return dict(_REGISTRY)
 
 
-def build(names: Sequence[str]) -> List[Stage]:
-    """Resolve transitive requirements, return dependency-ordered stages."""
-    provides_of: Dict[str, str] = {}
+def build(names: Sequence[str], columns: Iterable[str] = ()) -> List[Stage]:
+    """The named stages plus the providers of every column they (and
+    ``columns``) require, transitively, in chain order."""
+    provider: Dict[str, str] = {}
     for st in _REGISTRY.values():
         for p in st.provides:
-            provides_of[p] = st.name
-    needed: List[str] = []
+            provider.setdefault(p, st.name)
+    needed = {n: _REGISTRY[n] for n in names}
+    fringe = list(columns) + [r for st in needed.values()
+                              for r in st.requires]
+    while fringe:
+        req = fringe.pop()
+        if any(req in st.provides for st in needed.values()):
+            continue
+        if req not in provider:
+            raise ValueError(f"{req!r} is required but nothing provides it")
+        st = needed[provider[req]] = _REGISTRY[provider[req]]
+        fringe.extend(st.requires)
+    chain = [st for st in _REGISTRY.values() if st.name in needed]
+    done: set = set()
+    for st in chain:
+        if not done.issuperset(st.requires):
+            raise ValueError(f"stage {st.name} is registered before the "
+                             f"providers of {st.requires}")
+        done.update(st.provides)
+    return chain
 
-    def add(name: str, chain=()):
-        if name in chain:
-            raise ValueError(f"annotator cycle at {name}")
-        st = _REGISTRY[name]
-        for req in st.requires:
-            dep = provides_of.get(req)
-            if dep is None:
-                raise ValueError(
-                    f"stage {name} requires {req!r} which nothing provides")
-            if dep not in needed:
-                add(dep, chain + (name,))
-        if name not in needed:
-            needed.append(name)
 
-    for n in names:
-        add(n)
-    return [_REGISTRY[n] for n in needed]
+def instantiate(st: Stage) -> Callable:
+    """The in-process callable of a stage: an actor class is constructed
+    with its ``init_kwargs``, a function is itself."""
+    return st.fn(**st.init_kwargs) if isinstance(st.fn, type) else st.fn
+
+
+def map_stage(ds, st: Stage, distributed: bool = True):
+    """One stage as one map_batches: ``st.compute`` (an actor pool for
+    model stages) when distributed, else a plain in-process task."""
+    if not distributed:
+        fn = instantiate(st)
+        if isinstance(st.fn, type):
+            fn = lambda b, _i=fn: _i(b)  # noqa: E731
+        return ds.map_batches(fn, batch_format="pyarrow")
+    kwargs = st.compute() if callable(st.compute) else dict(st.compute)
+    if st.init_kwargs:
+        kwargs["fn_constructor_kwargs"] = st.init_kwargs
+    return ds.map_batches(st.fn, batch_format="pyarrow", **kwargs)
 
 
 def apply(ds, names: Sequence[str], distributed: bool = True):
@@ -81,12 +114,5 @@ def apply(ds, names: Sequence[str], distributed: bool = True):
     distributed=False forces plain task stages with the stateless variants
     (useful under tight CPU budgets / unit tests)."""
     for st in build(names):
-        all_kwargs = st.compute() if callable(st.compute) \
-            else dict(st.compute)
-        kwargs = all_kwargs if distributed else {}
-        fn = st.fn
-        if not distributed and isinstance(fn, type):
-            inst = fn(**all_kwargs.get("fn_constructor_kwargs", {}))
-            fn = lambda b, _i=inst: _i(b)  # noqa: E731
-        ds = ds.map_batches(fn, batch_format="pyarrow", **kwargs)
+        ds = map_stage(ds, st, distributed)
     return ds

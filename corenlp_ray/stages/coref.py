@@ -520,9 +520,11 @@ def coref_full_batch(batch: pa.Table,
             .append_column("pron_canonical", pa.array(pcan_c, type=s)))
 
 
-def coref_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
+def coref_batch(batch: pa.Table, cols: dict | None = None,
+                resolve=resolve_coref) -> pa.Table:
     """Stateless map_batches stage: + men_chain, men_canonical, pron_idx,
-    pron_canonical. Requires tok_*, men_* columns."""
+    pron_canonical. Requires tok_*, men_* columns. ``resolve`` is the
+    per-document kernel (a trained ranker's, models/coref_ranker.py)."""
     from corenlp_ray.stages._cache import col, put
 
     chain_c, canon_c, pidx_c, pcan_c = [], [], [], []
@@ -535,7 +537,7 @@ def coref_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
     mv_col = col(batch, "men_norm", cols)
     for r in range(batch.num_rows):
         men = list(zip(mb_col[r], me_col[r], mn_col[r], mv_col[r]))
-        chain, canon, pidx, pcan = resolve_coref(
+        chain, canon, pidx, pcan = resolve(
             words_col[r], tags_col[r], tsent_col[r], men)
         chain_c.append(chain)
         canon_c.append(canon)

@@ -965,11 +965,13 @@ def parse_sentence(words: List[str], tags: List[str]) -> Tuple[List[int], List[s
 
 class DepParser:
     """Actor-pool map_batches stage: + dep_head, dep_label (doc-level
-    indices, -1 = root). The weights slot is ``__init__`` (swap in a
+    indices, -1 = root). The weights slot is ``_parse`` (swap in a
     trained scorer without touching the pipeline)."""
 
-    def __init__(self):
-        pass
+    def _parse(self, words, tags):
+        """Per-sentence kernel hook (overridden by WeightedDepParser):
+        sentence-local heads, -1 = root, and labels."""
+        return parse_sentence(words, tags)
 
     def __call__(self, batch: pa.Table,
                  cols: dict | None = None) -> pa.Table:
@@ -984,7 +986,7 @@ class DepParser:
             heads = [-1] * len(words)
             labels = ["dep"] * len(words)
             for b, e in zip(sbs, ses):
-                hs, ls = parse_sentence(words[b:e], tags[b:e])
+                hs, ls = self._parse(words[b:e], tags[b:e])
                 for k, (h, l) in enumerate(zip(hs, ls)):
                     heads[b + k] = (b + h) if h >= 0 else -1
                     labels[b + k] = l
@@ -1001,7 +1003,7 @@ def depparse_batch(batch: pa.Table) -> pa.Table:
     return DepParser()(batch)
 
 
-class WeightedDepParser:
+class WeightedDepParser(DepParser):
     """Actor-pool stage parsing with TRAINED arc-standard transition
     weights (models/transition_parser.py — the nndep-shaped slot): the
     model JSON loads ONCE per actor in ``__init__`` and stays pinned.
@@ -1018,28 +1020,7 @@ class WeightedDepParser:
 
         self.model = TransitionParser.load(model_path)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        heads_c, labels_c = [], []
-        words_col = batch.column("tok_word").to_pylist()
-        tags_col = batch.column("tok_pos").to_pylist()
-        sb_col = batch.column("sent_begin").to_pylist()
-        se_col = batch.column("sent_end").to_pylist()
-        for words, tags, sbs, ses in zip(words_col, tags_col,
-                                         sb_col, se_col):
-            heads = [-1] * len(words)
-            labels = ["dep"] * len(words)
-            for b, e in zip(sbs, ses):
-                hs, ls = self.model.parse(words[b:e], tags[b:e])
-                for k, (h, l) in enumerate(zip(hs, ls)):
-                    # model is 1-based with 0 = ROOT; columns are
-                    # doc-level 0-based with -1 = root
-                    heads[b + k] = (b + h - 1) if h > 0 else -1
-                    labels[b + k] = l
-            heads_c.append(heads)
-            labels_c.append(labels)
-        return (batch
-                .append_column("dep_head",
-                               pa.array(heads_c, type=pa.list_(pa.int32())))
-                .append_column("dep_label",
-                               pa.array(labels_c,
-                                        type=pa.list_(pa.string()))))
+    def _parse(self, words, tags):
+        hs, ls = self.model.parse(words, tags)
+        # the model is 1-based with 0 = ROOT
+        return [h - 1 if h > 0 else -1 for h in hs], ls

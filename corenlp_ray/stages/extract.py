@@ -233,11 +233,14 @@ def extract_doc_attrs_batch(batch: pa.Table) -> pa.Table:
                 type=pa.list_(pa.string()))))
 
 
-def extract_text_batch(batch: pa.Table) -> pa.Table:
+def extract_text_batch(batch: pa.Table,
+                       cols: dict | None = None) -> pa.Table:
     """map_batches stage: pages(url, warc_ts, html, ...) → + text_extracted.
 
     Stateless task stage (pure function of ``html``); regexes are compiled
-    once per worker process at module import.
+    once per worker process at module import. ``cols`` (the fused chain's
+    pylist cache) is accepted and unused: no later stage reads the output
+    as a list.
     """
     out = [extract_text(v) for v in batch.column("html").to_pylist()]
     return batch.append_column("text_extracted", pa.array(out, type=pa.string()))

@@ -349,6 +349,10 @@ class PosTagger:
     def __init__(self):
         self.lexicon = POS_LEXICON  # binding point for trained weights
 
+    def _tag(self, words: List[str]) -> List[str]:
+        """Per-sentence kernel hook (overridden by WeightedPosTagger)."""
+        return tag_sentence(words)
+
     def __call__(self, batch: pa.Table,
                  cols: dict | None = None) -> pa.Table:
         from corenlp_ray.stages._cache import col, put
@@ -360,7 +364,7 @@ class PosTagger:
         for words, sbs, ses in zip(words_col, sb_col, se_col):
             tags: List[str] = [""] * len(words)
             for b, e in zip(sbs, ses):
-                for k, t in enumerate(tag_sentence(words[b:e])):
+                for k, t in enumerate(self._tag(words[b:e])):
                     tags[b + k] = t
             out.append(tags)
         put(cols, tok_pos=out)
@@ -373,7 +377,7 @@ def pos_batch(batch: pa.Table) -> pa.Table:
     return PosTagger()(batch)
 
 
-class WeightedPosTagger:
+class WeightedPosTagger(PosTagger):
     """Actor-pool stage tagging with TRAINED averaged-perceptron weights
     (models/perceptron_tagger.py — the MaxentTagger-shaped slot): the
     model JSON loads ONCE per actor in ``__init__`` and stays pinned for
@@ -390,18 +394,8 @@ class WeightedPosTagger:
     def __init__(self, model_path: str):
         from corenlp_ray.models.perceptron_tagger import PerceptronTagger
 
+        super().__init__()
         self.model = PerceptronTagger.load(model_path)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        words_col = batch.column("tok_word").to_pylist()
-        sb_col = batch.column("sent_begin").to_pylist()
-        se_col = batch.column("sent_end").to_pylist()
-        for words, sbs, ses in zip(words_col, sb_col, se_col):
-            tags: List[str] = [""] * len(words)
-            for b, e in zip(sbs, ses):
-                for k, t in enumerate(self.model.tag(words[b:e])):
-                    tags[b + k] = t
-            out.append(tags)
-        return batch.append_column(
-            "tok_pos", pa.array(out, type=pa.list_(pa.string())))
+    def _tag(self, words: List[str]) -> List[str]:
+        return self.model.tag(words)

@@ -174,6 +174,12 @@ def candidate_relation_pairs(row: dict) -> List[RelationCandidate]:
     return out
 
 
+# the annotation columns RelationExtractor reads besides the input ``url``
+RELATION_COLUMNS = ("tok_word", "tok_pos", "tok_lemma", "sent_begin",
+                    "sent_end", "dep_head", "dep_label", "men_begin",
+                    "men_end", "men_ner")
+
+
 class RelationExtractor:
     """Actor-pool map_batches stage: annotated docs → ACE relation
     rows. ``model_path`` binds trained RelationClassifier weights once
@@ -191,10 +197,8 @@ class RelationExtractor:
             self.classifier = RelationClassifier.load(model_path)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        cols = {name: batch.column(name).to_pylist() for name in (
-            "url", "tok_word", "tok_pos", "tok_lemma", "sent_begin",
-            "sent_end", "dep_head", "dep_label", "men_begin",
-            "men_end", "men_ner")}
+        cols = {name: batch.column(name).to_pylist()
+                for name in ("url",) + RELATION_COLUMNS}
         rows: List[dict] = []
         for r in range(len(cols["url"])):
             row = {k: cols[k][r] for k in cols}

@@ -3,8 +3,9 @@
 Computes, for BOTH configurations:
   1. micro P/R on the reference's OpenIE exact sets (north bar >= 0.95)
   2. planted value-hash gates (openie/kbp/quotes_planted vs oracle SQL)
-  3. (throughput comes from bench.py GRAFT_WEIGHTED=1, recorded in
-     BASELINE.md)
+  3. (no throughput figure: the weighted chain's triples miss the
+     exact sets, so its speed measures nothing; the last recorded
+     figures are in BASELINE.md)
 
 Run: PYTHONPATH=/root/repo python scripts/eval_weighted_chain.py
 """
@@ -41,9 +42,7 @@ def main():
     from corenlp_ray.pipelines import kg as kg_mod
     from corenlp_ray.pipelines import registry
 
-    saved = {n: registry.get(n)
-             for n in ("pos", "depparse", "coref", "parse", "ner")}
-    saved_kbp = kg_mod._KBP_MODEL_PATH
+    saved, saved_paths = registry.registry(), dict(kg_mod._MODEL_PATHS)
     results = {}
     try:
         distill_and_register(tmp)
@@ -104,7 +103,7 @@ def main():
     finally:
         for st in saved.values():
             registry.register(st)
-        kg_mod._KBP_MODEL_PATH = saved_kbp
+        kg_mod._MODEL_PATHS = saved_paths
     print(json.dumps(results, indent=1))
 
 

@@ -22,7 +22,8 @@ EXPECTED = {
     "ner": _NER,
     "regexner": _NER,
     "entitymentions": _NER,
-    "docdate": ["ner"],
+    # the ner stage with its prerequisites, which is what apply runs
+    "docdate": _NER,
     "depparse": ["tokenize", "pos", "depparse"],
     "parse": ["tokenize", "pos", "depparse", "parse"],
     "coref": _COREF,

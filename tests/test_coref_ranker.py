@@ -124,8 +124,7 @@ def test_register_swap(distilled):
         register_weighted_models(coref_model_path=path)
         st = registry.get("coref")
         assert st.fn is StatisticalCoref
-        kwargs = st.compute() if callable(st.compute) else st.compute
-        assert kwargs["fn_constructor_kwargs"]["model_path"] == path
+        assert st.init_kwargs["model_path"] == path
     finally:
         registry.register(before)
     assert registry.get("coref").fn is coref_batch

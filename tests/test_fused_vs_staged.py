@@ -54,3 +54,29 @@ def test_batch_split_invariance():
         parts.append(FusedDocAnnotator()(tbl.slice(i, 5)))
     split = normalize(pa.concat_tables(parts))
     assert whole == split
+
+
+def test_in_process_chain_does_not_import_ray():
+    """Building and calling the in-process chain (fused actor classes
+    and the simple API) never imports Ray: importing it costs more than
+    the whole in-process set-up, so resolving stages must not evaluate
+    actor-pool sizing."""
+    import os
+    import subprocess
+    import sys
+
+    code = "\n".join([
+        "import sys",
+        "import pyarrow as pa",
+        "import corenlp_ray.pipelines.kg as kg",
+        "from corenlp_ray.api import Document",
+        "from corenlp_ray.sources.pages import synth_pages_table",
+        "kg.FusedDocAnnotator()(synth_pages_table(n=2, seed=0))",
+        "docs = pa.table({'doc_id': [1, 2], 'lang': ['en', 'de'],",
+        "                 'text': ['Acme Corp hired John Smith.', 'Hallo']})",
+        "kg.DocsToTriples(pages_per_doc=2)(docs)",
+        "Document('Some cats have tails.').sentences()[0].openie()",
+        "assert 'ray' not in sys.modules, 'ray was imported'",
+    ])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=root)

@@ -107,8 +107,7 @@ def test_registry_weighted_swap(tmp_path, distilled, ray_session):
         _kg.register_weighted_models(pos_model_path=p)
         st = get("pos")
         assert st.fn.__name__ == "WeightedPosTagger"
-        kwargs = st.compute() if callable(st.compute) else dict(st.compute)
-        inst = st.fn(**kwargs["fn_constructor_kwargs"])
+        inst = st.fn(**st.init_kwargs)
         words = "The quick brown fox jumped .".split()
         ds = rd.from_items([{
             "tok_word": words, "sent_begin": [0],

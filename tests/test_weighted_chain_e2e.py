@@ -74,18 +74,30 @@ def model_paths(tmp_path_factory):
     return paths
 
 
+def _keys(t: pa.Table):
+    return sorted(zip(*(t.column(c).to_pylist() for c in (
+        "url", "subj", "pred", "obj", "source"))))
+
+
+def _collect(ds) -> pa.Table:
+    return pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow")))
+
+
 def test_all_weighted_slots_compose(ray_session, model_paths):
     """Full distributed chain with every statistical slot registered:
     weighted pos + depparse + coref actor pools, kbp ensemble with the
-    classifier fallback — produces triples with the flagship schema."""
+    classifier fallback — produces triples with the flagship schema.
+    The fused chain runs the same registered slots, in-process and in
+    the actor pool (whose stages the driver resolves), so its triples
+    equal the staged path's."""
     import ray.data as rd
 
     from corenlp_ray.pipelines import kg as kg_mod
     from corenlp_ray.pipelines import registry
     from corenlp_ray.pipelines.registry import apply
+    from corenlp_ray.sources.pages import synth_pages_table
 
-    saved = {n: registry.get(n) for n in ("pos", "depparse", "coref")}
-    saved_kbp = kg_mod._KBP_MODEL_PATH
+    saved, saved_paths = registry.registry(), dict(kg_mod._MODEL_PATHS)
     try:
         kg_mod.register_weighted_models(
             pos_model_path=model_paths["pos"],
@@ -99,16 +111,61 @@ def test_all_weighted_slots_compose(ray_session, model_paths):
                               ("text", pa.string())])))
         ann = apply(docs, ("lemma", "depparse", "coref"),
                     distributed=True)
-        triples = kg_mod.extract_triples(ann, distributed=True)
-        t = pa.concat_tables(
-            [b for b in triples.iter_batches(batch_format="pyarrow")]
-            or [pa.Table.from_pydict({})])
+        t = _collect(kg_mod.extract_triples(ann, distributed=True))
         assert t.num_rows > 0
         for c in ("url", "subj", "pred", "obj", "confidence", "source"):
             assert c in t.column_names, c
         assert set(t.column("source").to_pylist()) <= {"openie", "kbp"}
+
+        pages = synth_pages_table(n=12, seed=41)
+        staged = _keys(_collect(kg_mod.extract_triples(
+            kg_mod.annotate_pages(rd.from_arrow(pages), distributed=False),
+            distributed=False)))
+        assert staged
+        assert _keys(kg_mod.FusedDocAnnotator()(pages)) == staged
+        pooled = kg_mod.pages_to_triples(rd.from_arrow(pages),
+                                         distributed=True)
+        assert _keys(_collect(pooled)) == staged
     finally:
         for st in saved.values():
             registry.register(st)
-        kg_mod._KBP_MODEL_PATH = saved_kbp
+        kg_mod._MODEL_PATHS = saved_paths
     assert registry.get("pos").fn.__name__ != "WeightedPosTagger"
+
+
+def test_relation_model_property_reaches_extractor(ray_session, tmp_path):
+    """``relation.model`` binds trained weights into the relation
+    extractor of ``Pipeline("relation").triples`` (the rule cascade
+    must not run in its place)."""
+    import ray.data as rd
+
+    from corenlp_ray.models.relation_classifier import RelationClassifier
+    from corenlp_ray.pipeline_api import Pipeline
+    from corenlp_ray.pipelines import kg as kg_mod
+    from corenlp_ray.pipelines.planted import _relation_text
+    from corenlp_ray.stages.relation import (RelationExtractor,
+                                             relation_batch)
+
+    texts = [_relation_text(i) for i in range(10)]
+    docs = pa.Table.from_pydict({"url": [str(i) for i in range(10)],
+                                 "text": texts})
+    ann = kg_mod.apply(rd.from_arrow(docs), ("lemma", "ner", "depparse"),
+                       distributed=False)
+    ann = _collect(ann)
+    p = str(tmp_path / "relation.json")
+    RelationClassifier.distill(ann.to_pylist(), n_iter=2).save(p)
+    want = RelationExtractor(model_path=p)(ann).to_pylist()
+    assert want and want != relation_batch(ann).to_pylist()
+
+    saved_paths = dict(kg_mod._MODEL_PATHS)
+    try:
+        pl = Pipeline("relation", distributed=False,
+                      properties={"relation.model": p})
+        got = pl.triples(rd.from_arrow(docs)).take_all()
+    finally:
+        kg_mod._MODEL_PATHS = saved_paths
+
+    def key(r):
+        return (r["url"], r["sent_idx"], r["subj"], r["rel"], r["obj"])
+
+    assert sorted(got, key=key) == sorted(want, key=key)

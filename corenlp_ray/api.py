@@ -105,7 +105,8 @@ class Document:
     def relations(self) -> Set[Tuple[str, str, str]]:
         """ACE-style relation mentions (the `relation` annotator,
         stages/relation.py — Roth/Yih inventory)."""
-        from corenlp_ray.pipelines.kg import _MODEL_PATHS, RelationExtractor
+        from corenlp_ray.pipelines.kg import _MODEL_PATHS
+        from corenlp_ray.stages.relation import RelationExtractor
 
         self._need(*self._transitive("relation"))
         out = RelationExtractor(_MODEL_PATHS.get("relation"))(self._tbl)

@@ -44,19 +44,16 @@ class Document:
 
     def _need(self, *stages: str):
         """Run the named registry stages and their prerequisites, each
-        at most once per document."""
-        todo = [s for s in stages if s not in self._done]
-        if not todo:
+        at most once per document, as one registry chain."""
+        if self._done.issuperset(stages):
             return
-        from corenlp_ray.pipelines.kg import build, instantiate
+        from corenlp_ray.pipelines.kg import Chain, build
 
         tbl = self._tbl if self._done else self._table()
-        for st in build(todo):
-            if st.name not in self._done:
-                tbl = instantiate(st)(tbl)
-                self._done.add(st.name)
-        self._tbl = tbl
-        self._row = tbl.to_pylist()[0]
+        todo = [st for st in build(stages) if st.name not in self._done]
+        self._tbl = Chain(todo)(tbl)
+        self._done.update(st.name for st in todo)
+        self._row = self._tbl.to_pylist()[0]
 
     @staticmethod
     def _transitive(stage: str) -> Tuple[str, ...]:
@@ -73,9 +70,9 @@ class Document:
         if self._triples_tbl is not None:
             return
         self._need(*self._transitive("openie"))
-        from corenlp_ray.pipelines.kg import TripleExtractor
+        from corenlp_ray.pipelines.kg import Chain, triples_stage
 
-        self._triples_tbl = TripleExtractor()(self._tbl)
+        self._triples_tbl = Chain([triples_stage()])(self._tbl)
 
     # ---------------------------------------------------------- accessors ----
 
@@ -105,11 +102,10 @@ class Document:
     def relations(self) -> Set[Tuple[str, str, str]]:
         """ACE-style relation mentions (the `relation` annotator,
         stages/relation.py — Roth/Yih inventory)."""
-        from corenlp_ray.pipelines.kg import _MODEL_PATHS
-        from corenlp_ray.stages.relation import RelationExtractor
+        from corenlp_ray.pipelines.kg import Chain, relation_stage
 
         self._need(*self._transitive("relation"))
-        out = RelationExtractor(_MODEL_PATHS.get("relation"))(self._tbl)
+        out = Chain([relation_stage()])(self._tbl)
         return {(s, r, o) for s, r, o in zip(
             out.column("subj").to_pylist(), out.column("rel").to_pylist(),
             out.column("obj").to_pylist())}

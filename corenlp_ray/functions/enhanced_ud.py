@@ -186,20 +186,22 @@ def enhance_dependencies(words: Sequence[str], tags: Sequence[str],
     return edges
 
 
-def enhanced_batch(batch: pa.Table) -> pa.Table:
+def enhanced_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
     """map_batches stage: + enh_gov/enh_dep/enh_label (flattened edge
     lists per doc, token indices doc-global). Requires tok_pos,
     dep_head, dep_label, sent_begin/sent_end; uses tok_lemma if present.
     Stateless task stage — the kernel is pure Python over thin lists."""
+    from corenlp_ray.stages._cache import col
+
     names = set(batch.column_names)
-    words_c = batch.column("tok_word").to_pylist()
-    tags_c = batch.column("tok_pos").to_pylist()
-    lem_c = batch.column("tok_lemma").to_pylist() \
+    words_c = col(batch, "tok_word", cols)
+    tags_c = col(batch, "tok_pos", cols)
+    lem_c = col(batch, "tok_lemma", cols) \
         if "tok_lemma" in names else [None] * batch.num_rows
-    dh_c = batch.column("dep_head").to_pylist()
-    dl_c = batch.column("dep_label").to_pylist()
-    sb_c = batch.column("sent_begin").to_pylist()
-    se_c = batch.column("sent_end").to_pylist()
+    dh_c = col(batch, "dep_head", cols)
+    dl_c = col(batch, "dep_label", cols)
+    sb_c = col(batch, "sent_begin", cols)
+    se_c = col(batch, "sent_end", cols)
     gov_c, dep_c, lab_c = [], [], []
     for r in range(batch.num_rows):
         words, tags = words_c[r], tags_c[r]

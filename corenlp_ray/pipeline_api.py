@@ -14,11 +14,12 @@ maps 1:1:
 Names map to registry stages (``ANNOTATOR_STAGES``); the stage registry
 (pipelines/registry.py) closes them over their prerequisites and orders
 them, the same resolution every other execution shape runs.
-``annotate`` appends annotation columns via the registered stages
-(actor pools when ``distributed=True``); ``triples`` additionally runs
-the fused openie∪kbp extraction when either is requested. Unknown
-annotator names raise ``ValueError`` (the reference throws
-IllegalArgumentException for unknown annotators).
+``annotate`` appends annotation columns by running the resolved stages
+as one registry ``Chain`` (one actor pool when ``distributed=True``);
+``triples`` ends that same chain with an extractor: the fused
+openie∪kbp extraction when either is requested, else the relation
+extractor. Unknown annotator names raise ``ValueError`` (the reference
+throws IllegalArgumentException for unknown annotators).
 """
 from __future__ import annotations
 
@@ -136,7 +137,7 @@ class Pipeline:
 
     def annotate(self, pages_ds):
         """pages/docs Dataset → Dataset with annotation columns
-        appended (stage registry; actor pools when distributed)."""
+        appended (one registry chain)."""
         from corenlp_ray.pipelines.kg import apply
 
         return apply(pages_ds, tuple(self.stages),
@@ -145,31 +146,28 @@ class Pipeline:
     def triples(self, pages_ds):
         """pages Dataset → triples Dataset. openie/kbp run fused (one
         extraction pass); relation runs its own extractor (trained
-        weights when ``relation.model`` is set). Raises unless at least
-        one triple producer was requested."""
+        weights when ``relation.model`` is set). The annotation stages
+        and the extractor are one chain. Raises unless at least one
+        triple producer was requested."""
+        from corenlp_ray.pipelines.kg import (extract, relation_stage,
+                                              triples_stage)
+
         producers = {"openie", "kbp", "relation"} & set(self.annotators)
         if not producers:
             raise ValueError(
                 "no triple producer among annotators %s — add openie, "
                 "kbp, or relation" % self.annotators)
-        ann = self.annotate(pages_ds)
-        if producers & {"openie", "kbp"}:
-            from corenlp_ray.pipelines.kg import extract_triples
+        only = producers & {"openie", "kbp"}
+        extractor = triples_stage() if only else relation_stage()
+        out = extract(pages_ds, extractor, self.stages, self.distributed)
+        if len(only) == 1:
+            import pyarrow as pa
+            import pyarrow.compute as pc
 
-            out = extract_triples(ann, distributed=self.distributed)
-            only = producers & {"openie", "kbp"}
-            if len(only) == 1:
-                import pyarrow as pa
-                import pyarrow.compute as pc
+            src = next(iter(only))
 
-                src = next(iter(only))
+            def keep(b: pa.Table, _src=src) -> pa.Table:
+                return b.filter(pc.equal(b.column("source"), _src))
 
-                def keep(b: pa.Table, _src=src) -> pa.Table:
-                    return b.filter(pc.equal(b.column("source"), _src))
-
-                out = out.map_batches(keep, batch_format="pyarrow")
-            return out
-        # relation only
-        from corenlp_ray.pipelines.kg import extract_relations
-
-        return extract_relations(ann, distributed=self.distributed)
+            out = out.map_batches(keep, batch_format="pyarrow")
+        return out

@@ -5,16 +5,16 @@ coref → (openie ∪ kbp) triples → canonicalization shuffle → KG store.
 
 The annotation chain is not written out here: it is what the stage
 registry resolves for ``ANNOTATE_STAGES`` — cleanxml plus every stage
-the triple extractor's columns need, in registration order. The staged
-path (``annotate_pages`` + ``extract_triples``), the fused actor
-(``FusedDocAnnotator``) and the simple API all run that resolution, so
+the triple extractor's columns need, in registration order. The fused
+actor (``FusedDocAnnotator``), ``annotate_pages`` + ``extract_triples``
+and the simple API all run that resolution as a registry ``Chain``, so
 a slot installed with ``register_weighted_models`` reaches each of them.
 
-Stage compute shapes (SURVEY §7.3):
-  * stateless tasks: extract, tokenize, lemma, coref, openie
-  * actor pools:     pos, ner, depparse, kbp (model state pinned per actor)
-  * shuffles:        alias-map two-phase aggregate; (subj,pred,obj) dedup
-  * layout:          hash(subj)-bucketed Parquet
+Execution shapes (SURVEY §7.3):
+  * per-document chain: one ``Chain`` per actor (model state pinned per
+    actor), one pool per Dataset pass (``registry.launch``)
+  * shuffles:           alias-map two-phase aggregate; (subj,pred,obj) dedup
+  * layout:             hash(subj)-bucketed Parquet
 
 The default registry below is the annotator-name table
 (cf. /root/reference/src/edu/stanford/nlp/pipeline/Annotator.java:90-119).
@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import replace
 from importlib import import_module
 
-from corenlp_ray.pipelines.registry import (Stage, apply, build, get,
-                                            instantiate, map_stage,
+from corenlp_ray.pipelines.registry import (Chain, Stage, _ncpus, apply,
+                                            build, extract, get, launch,
                                             register)
 from corenlp_ray.stages.canonicalize import build_kg, resolve_alias_scale
 from corenlp_ray.stages.coref import coref_batch
@@ -40,29 +40,6 @@ from corenlp_ray.stages.relation import RELATION_COLUMNS, RelationExtractor
 from corenlp_ray.stages.tokenize import tokenize_ssplit_batch
 
 
-def _ncpus() -> int:
-    import ray
-
-    try:
-        return max(2, int(ray.cluster_resources().get("CPU", 4)))
-    except Exception:
-        return 4
-
-
-_N_MODEL_POOLS = 4  # pos, ner, depparse, triple-extract
-
-
-def _pool() -> dict:
-    """Actor-pool sizing for model stages: the four model pools split the
-    cluster evenly, leaving a task-stage share (FIXED size, not
-    autoscaling — autoscaling pools ramp from 1 actor and never reach
-    width within a stage's lifetime, which flattens N→4N scaling).
-    Small batches keep the pools' queues balanced."""
-    n = _ncpus()
-    per_pool = max(1, (n - max(2, n // 8)) // _N_MODEL_POOLS)
-    return {"concurrency": per_pool, "batch_size": 32, "num_cpus": 1}
-
-
 # ---- the annotator registry (names mirror the reference's canon) ----
 # Registration order is chain order, and the first stage registered with
 # a column is its default provider.
@@ -70,13 +47,13 @@ register(Stage("cleanxml", (), ("text_extracted",), extract_text_batch))
 register(Stage("tokenize", (),
                ("tok_word", "tok_orig", "tok_begin", "tok_end", "tok_sent",
                 "sent_begin", "sent_end"), tokenize_ssplit_batch))
-register(Stage("pos", ("tok_word",), ("tok_pos",), PosTagger, _pool))
+register(Stage("pos", ("tok_word",), ("tok_pos",), PosTagger))
 register(Stage("lemma", ("tok_pos",), ("tok_lemma",), lemma_batch))
 register(Stage("ner", ("tok_pos",),
                ("tok_ner", "men_begin", "men_end", "men_sent", "men_ner",
-                "men_norm"), NerTagger, _pool))
-register(Stage("depparse", ("tok_pos",), ("dep_head", "dep_label"), DepParser,
-               _pool))
+                "men_norm"), NerTagger))
+register(Stage("depparse", ("tok_pos",), ("dep_head", "dep_label"),
+               DepParser))
 _COREF_COLUMNS = ("men_chain", "men_canonical", "pron_idx", "pron_canonical")
 register(Stage("coref", ("men_begin", "tok_pos"), _COREF_COLUMNS,
                coref_batch))
@@ -131,9 +108,9 @@ ANNOTATE_STAGES = tuple(st.name for st in build(("cleanxml",),
 
 
 # register_weighted_models keyword → (slot, corenlp_ray module, trained-
-# weights class). A stage slot re-registers that stage as the class's
-# pinned-weight actor; a triple-producer slot (no class) records the path
-# in _MODEL_PATHS for its extractor, and the driver ships it to the actors.
+# weights class). A stage slot re-registers that stage as the class with
+# its weights pinned; a triple-producer slot (no class) records the path
+# in _MODEL_PATHS for its extractor stage, which the driver resolves.
 _WEIGHTED_SLOTS = {
     "pos_model_path": ("pos", "stages.pos", "WeightedPosTagger"),
     "dep_model_path": ("depparse", "stages.depparse", "WeightedDepParser"),
@@ -167,8 +144,7 @@ def register_weighted_models(**model_paths: str | None) -> None:
             _MODEL_PATHS[slot] = path
             continue
         fn = getattr(import_module(f"corenlp_ray.{module}"), cls)
-        register(replace(get(slot), fn=fn, compute=_pool,
-                         init_kwargs={"model_path": path}))
+        register(replace(get(slot), fn=fn, init_kwargs={"model_path": path}))
 
 
 def annotate_pages(pages_ds, distributed: bool = True):
@@ -180,7 +156,8 @@ class TripleExtractor:
     """Fused openie+kbp extraction in ONE pass over the annotated docs
     (a union of two branches would re-execute the whole upstream
     annotation chain once per branch — the lazy-Dataset double-consume
-    trap). Actor-pool stage: the KBP pattern banks bind once."""
+    trap). A chain's last stage: the KBP pattern banks bind once per
+    chain."""
 
     def __init__(self, kbp_classifier_path=None):
         self.kbp = KbpExtractor(classifier_path=kbp_classifier_path
@@ -202,58 +179,53 @@ class TripleExtractor:
                                  self.kbp(batch, cols=shared)])
 
 
+def triples_stage() -> Stage:
+    """``TripleExtractor`` as a chain stage, with the registered kbp
+    weights."""
+    return Stage("triples", TRIPLE_COLUMNS, (), TripleExtractor,
+                 {"kbp_classifier_path": _MODEL_PATHS.get("kbp")})
+
+
+def relation_stage() -> Stage:
+    """``RelationExtractor`` as a chain stage: trained weights when the
+    relation slot is registered, else the rule cascade."""
+    return Stage("relation", RELATION_COLUMNS, (), RelationExtractor,
+                 {"model_path": _MODEL_PATHS.get("relation")})
+
+
 def extract_triples(docs_ds, distributed: bool = True):
     """annotated docs → triples Dataset (openie ∪ kbp, single pass)."""
-    return map_stage(docs_ds, Stage(
-        "triples", TRIPLE_COLUMNS, (), TripleExtractor, _pool,
-        {"kbp_classifier_path": _MODEL_PATHS.get("kbp")}), distributed)
+    return extract(docs_ds, triples_stage(), distributed=distributed)
 
 
 def extract_relations(docs_ds, distributed: bool = True):
-    """annotated docs → ACE relation rows (trained weights when the
-    relation slot is registered, else the rule cascade)."""
-    return map_stage(docs_ds, Stage(
-        "relation", RELATION_COLUMNS, (), RelationExtractor, _pool,
-        {"model_path": _MODEL_PATHS.get("relation")}), distributed)
+    """annotated docs → ACE relation rows."""
+    return extract(docs_ds, relation_stage(), distributed=distributed)
 
 
-class FusedDocAnnotator:
-    """The whole per-document chain in ONE actor-pool stage: the
-    resolved annotation stages run in-process over one shared pylist
-    cache, then ``TripleExtractor``.
+def fused_stages():
+    """The flagship chain: ``ANNOTATE_STAGES`` resolved, then the triple
+    extractor."""
+    return build(ANNOTATE_STAGES) + [triples_stage()]
+
+
+class FusedDocAnnotator(Chain):
+    """The whole per-document KG chain as one ``Chain``: the resolved
+    annotation stages, then ``TripleExtractor``.
 
     This is the flagship execution shape: the chain is per-row pure, so
-    fusing it removes inter-pool block transfers and — decisively — the
-    pool-balance problem (four sequential pools bottleneck on the
-    heaviest stage; one pool self-balances). It mirrors the reference's
-    own execution: one in-process annotator pipeline per document
-    (AnnotationPipeline.java:66-83), here replicated per actor. The
-    staged path (annotate_pages + extract_triples) runs the SAME
-    resolved stages, so both paths produce identical triples (tested).
+    fusing it removes inter-pool block transfers and the pool-balance
+    problem (chained pools bottleneck on the heaviest stage; one pool
+    self-balances). ``stages`` defaults to ``fused_stages()`` resolved
+    in this process; ``launch`` ships the driver's resolution to the
+    actors."""
 
-    ``stages`` defaults to ``build(ANNOTATE_STAGES)`` resolved in this
-    process. An actor gets them from the driver instead (see
-    ``_fused_pool``): a Ray worker imports a fresh default registry, so
-    resolving there would drop registered weighted slots."""
-
-    def __init__(self, stages=None, kbp_classifier_path=None):
-        self.chain = {st.name: instantiate(st)
-                      for st in stages or build(ANNOTATE_STAGES)}
+    def __init__(self, stages=None):
+        super().__init__(stages or fused_stages())
         # per-stage handles for harnesses that time the chain a stage
         # at a time
-        self.pos, self.ner, self.dep = map(self.chain.get,
-                                           ("pos", "ner", "depparse"))
-        self.triples = TripleExtractor(kbp_classifier_path)
-
-    def __call__(self, batch):
-        # one mutable pylist cache threads the whole chain: each stage
-        # reads upstream columns from it and deposits what it builds,
-        # killing the repeated Arrow→pylist conversions (tok_word alone
-        # was re-converted by six kernels — stages/_cache.py)
-        cols: dict = {}
-        for stage in self.chain.values():
-            batch = stage(batch, cols=cols)
-        return self.triples(batch, cols=cols)
+        self.pos, self.ner, self.dep, self.triples = map(
+            self.chain.get, ("pos", "ner", "depparse", "triples"))
 
 
 class DocsToTriples(FusedDocAnnotator):
@@ -263,9 +235,8 @@ class DocsToTriples(FusedDocAnnotator):
     (explicit fusion instead of relying on the planner's
     operator-fusion heuristics)."""
 
-    def __init__(self, pages_per_doc: int = 1, stages=None,
-                 kbp_classifier_path=None):
-        super().__init__(stages, kbp_classifier_path)
+    def __init__(self, pages_per_doc: int = 1, stages=None):
+        super().__init__(stages)
         self.pages_per_doc = pages_per_doc
 
     def __call__(self, batch):
@@ -278,26 +249,10 @@ class DocsToTriples(FusedDocAnnotator):
             pages.filter(pc.equal(pages.column("lang"), "en")))
 
 
-def _fused_pool(ds, cls, ctor: dict, **map_kwargs):
-    """``cls`` (a FusedDocAnnotator) as one actor per CPU minus a
-    driver/IO share. Its stages and kbp weights are resolved HERE, on
-    the driver, and shipped as constructor kwargs."""
-    # n-1 actors, floor 1: the pool must never reserve EVERY cpu or
-    # the upstream read tasks starve and the pipeline wedges
-    return ds.map_batches(
-        cls, batch_format="pyarrow", concurrency=max(1, _ncpus() - 1),
-        num_cpus=1, fn_constructor_kwargs={
-            "stages": build(ANNOTATE_STAGES),
-            "kbp_classifier_path": _MODEL_PATHS.get("kbp"), **ctor},
-        **map_kwargs)
-
-
 def pages_to_triples(pages_ds, distributed: bool = True):
-    """pages → triples via the fused annotator pool."""
-    if distributed:
-        return _fused_pool(pages_ds, FusedDocAnnotator, {}, batch_size=16)
-    inst = FusedDocAnnotator()
-    return pages_ds.map_batches(lambda b: inst(b), batch_format="pyarrow")
+    """pages → triples via the fused annotator chain."""
+    return launch(pages_ds, FusedDocAnnotator, {"stages": fused_stages()},
+                  distributed, batch_size=16)
 
 
 def documents_to_triples(sf_dir: str, pages_per_doc: int | None = None):
@@ -317,7 +272,8 @@ def documents_to_triples(sf_dir: str, pages_per_doc: int | None = None):
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "lang", "text"],
                            override_num_blocks=blocks)
-    return _fused_pool(docs, DocsToTriples, {"pages_per_doc": pages_per_doc})
+    return launch(docs, DocsToTriples, {"stages": fused_stages(),
+                                        "pages_per_doc": pages_per_doc})
 
 
 def _triples_to_kg(triples, num_buckets: int):

@@ -65,10 +65,6 @@ def q_entity_mentions_planted(sf_dir: str):
             schema=pa.schema([("doc_id", pa.int64()),
                               ("text", pa.string())]))
 
-    # plain task stages (distributed=False): the oracle queries must run
-    # under ANY cpu budget — a 6-pool staged chain deadlocks a 4-CPU
-    # test session (each actor pool reserves CPUs for the pipeline's
-    # lifetime); stateless map_batches tasks stream at every width
     ann = apply(_docs_ids(sf_dir).map_batches(synth,
                                               batch_format="pyarrow"),
                 ("ner",), distributed=False)
@@ -139,9 +135,9 @@ def _kbp_text(i: int) -> str:
 
 def _planted_triples(sf_dir: str, text_fn):
     """planted docs → REAL annotate chain → fused openie+kbp extraction
-    (the same TripleExtractor actor-pool stage the flagship KG pipeline
-    runs), with doc_id carried through the url column."""
-    from corenlp_ray.pipelines.kg import apply, extract_triples
+    (the same TripleExtractor stage that ends the flagship KG chain),
+    with doc_id carried through the url column."""
+    from corenlp_ray.pipelines.kg import extract, triples_stage
 
     def synth(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_pylist()
@@ -151,11 +147,11 @@ def _planted_triples(sf_dir: str, text_fn):
             schema=pa.schema([("url", pa.string()),
                               ("text", pa.string())]))
 
-    ann = apply(_docs_ids(sf_dir).map_batches(synth,
-                                              batch_format="pyarrow"),
-                ("tokenize", "pos", "lemma", "ner", "depparse", "coref"),
-                distributed=False)   # see q_entity_mentions_planted
-    return extract_triples(ann, distributed=False)
+    return extract(_docs_ids(sf_dir).map_batches(synth,
+                                                 batch_format="pyarrow"),
+                   triples_stage(),
+                   ("tokenize", "pos", "lemma", "ner", "depparse", "coref"),
+                   distributed=False)
 
 
 def _project_triples(triples, source: str):
@@ -263,11 +259,9 @@ def q_natlog_planted(sf_dir: str):
     import pyarrow.compute as pc
 
     from corenlp_ray.pipelines.kg import apply
-    from corenlp_ray.stages.natlog import natlog_batch
 
-    ann = apply(_planted_doc_texts(sf_dir, _natlog_text),
-                ("depparse",), distributed=False) \
-        .map_batches(natlog_batch, batch_format="pyarrow")
+    ann = apply(_planted_doc_texts(sf_dir, _natlog_text), ("natlog",),
+                distributed=False)
 
     def project(b: pa.Table) -> pa.Table:
         downs = [sum(1 for p in pol if p == "down")
@@ -350,7 +344,7 @@ def q_extract_planted(sf_dir: str):
     newlines, comment removal, paragraph joining) through the REAL
     extract stage; the exact extracted string is SQL-computable, making
     the byte-identical per-url invariant a value-hash check."""
-    from corenlp_ray.stages.extract import extract_text_batch
+    from corenlp_ray.pipelines.kg import apply
 
     def synth(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_pylist()
@@ -360,8 +354,8 @@ def q_extract_planted(sf_dir: str):
             schema=pa.schema([("doc_id", pa.int64()),
                               ("html", pa.binary())]))
 
-    out = _docs_ids(sf_dir).map_batches(synth, batch_format="pyarrow") \
-        .map_batches(extract_text_batch, batch_format="pyarrow")
+    out = apply(_docs_ids(sf_dir).map_batches(synth, batch_format="pyarrow"),
+                ("cleanxml",), distributed=False)
     return out.select_columns(["doc_id", "text_extracted"]) \
         .map_batches(lambda b: b.rename_columns(["doc_id", "text"]),
                      batch_format="pyarrow")
@@ -409,12 +403,10 @@ def q_enhanced_deps_planted(sf_dir: str):
     conj:<cc> + shared-argument propagation, case augmentation) through
     the REAL tokenize→pos→depparse chain; the per-template edge set is
     a deterministic constant the oracle reproduces by doc_id."""
-    from corenlp_ray.functions.enhanced_ud import enhanced_batch
     from corenlp_ray.pipelines.kg import apply
 
-    ann = apply(_planted_doc_texts(sf_dir, _enhanced_text),
-                ("depparse",), distributed=False) \
-        .map_batches(enhanced_batch, batch_format="pyarrow")
+    ann = apply(_planted_doc_texts(sf_dir, _enhanced_text), ("enhanced",),
+                distributed=False)
 
     def project(b: pa.Table) -> pa.Table:
         rows = {"doc_id": [], "edges": []}
@@ -469,8 +461,7 @@ def q_cleanxml_docdate_planted(sf_dir: str):
     import datetime as _dt
 
     from corenlp_ray.pipelines.kg import apply
-    from corenlp_ray.stages.extract import (extract_doc_attrs_batch,
-                                            extract_text_batch)
+    from corenlp_ray.stages.extract import extract_doc_attrs_batch
 
     decoy = _dt.datetime(1999, 1, 1)
 
@@ -484,8 +475,8 @@ def q_cleanxml_docdate_planted(sf_dir: str):
                               ("html", pa.binary()),
                               ("warc_ts", pa.timestamp("us"))]))
 
-    ds = (_docs_ids(sf_dir).map_batches(synth, batch_format="pyarrow")
-          .map_batches(extract_text_batch, batch_format="pyarrow")
+    ds = (apply(_docs_ids(sf_dir).map_batches(synth, batch_format="pyarrow"),
+                ("cleanxml",), distributed=False)
           .map_batches(extract_doc_attrs_batch, batch_format="pyarrow")
           .map_batches(lambda b: b.drop_columns(["html"])
                        .rename_columns([
@@ -558,10 +549,10 @@ def q_tokenize_planted(sf_dir: str):
     counts through the real tokenize_ssplit_batch stage."""
     import pyarrow.compute as pc
 
-    from corenlp_ray.stages.tokenize import tokenize_ssplit_batch
+    from corenlp_ray.pipelines.kg import apply
 
-    out = _planted_doc_texts(sf_dir, _tokenize_text) \
-        .map_batches(tokenize_ssplit_batch, batch_format="pyarrow")
+    out = apply(_planted_doc_texts(sf_dir, _tokenize_text), ("tokenize",),
+                distributed=False)
     return out.map_batches(
         lambda b: pa.Table.from_pydict(
             {"doc_id": b.column("doc_id"),
@@ -603,15 +594,15 @@ def q_protobuf_planted(sf_dir: str):
     from corenlp_ray.sources.protobuf_out import (parse_message,
                                                   read_delimited,
                                                   write_protobuf)
-    from corenlp_ray.stages.tokenize import tokenize_ssplit_batch
+    from corenlp_ray.pipelines.kg import apply
 
     def add_url(b: pa.Table) -> pa.Table:
         return b.append_column(
             "url", pc.cast(b.column("doc_id"), pa.string()))
 
-    ann = (_planted_doc_texts(sf_dir, _tokenize_text)
-           .map_batches(add_url, batch_format="pyarrow")
-           .map_batches(tokenize_ssplit_batch, batch_format="pyarrow"))
+    ann = apply(_planted_doc_texts(sf_dir, _tokenize_text)
+                .map_batches(add_url, batch_format="pyarrow"),
+                ("tokenize",), distributed=False)
     out_dir = tempfile.mkdtemp(prefix="graft_pb_planted_")
     paths = write_protobuf(ann, out_dir)
     rows = {"doc_id": [], "n_tokens": [], "n_sents": []}
@@ -899,11 +890,9 @@ def q_parse_planted(sf_dir: str):
     depparse→parse_tree; the PTB bracketing string per doc is
     SQL-computable from the slot values."""
     from corenlp_ray.pipelines.kg import apply
-    from corenlp_ray.stages.parse_tree import parse_tree_batch
 
-    ann = apply(_planted_doc_texts(sf_dir, _parse_text),
-                ("depparse",), distributed=False) \
-        .map_batches(parse_tree_batch, batch_format="pyarrow")
+    ann = apply(_planted_doc_texts(sf_dir, _parse_text), ("parse",),
+                distributed=False)
 
     def project(b: pa.Table) -> pa.Table:
         trees = [t[0] if t else "" for t in
@@ -947,13 +936,9 @@ def q_linking_planted(sf_dir: str):
     Link normalization and the name→gender table are pinned by
     tests/test_planted_oracles.py over the full slot cross-product."""
     from corenlp_ray.pipelines.kg import apply
-    from corenlp_ray.stages.entitylink import entitylink_batch
-    from corenlp_ray.stages.misc_annotators import gender_batch
 
     ann = apply(_planted_doc_texts(sf_dir, _linking_text),
-                ("ner",), distributed=False) \
-        .map_batches(entitylink_batch, batch_format="pyarrow") \
-        .map_batches(gender_batch, batch_format="pyarrow")
+                ("entitylink", "gender"), distributed=False)
 
     def explode(b: pa.Table) -> pa.Table:
         rows = {"doc_id": [], "surface": [], "ner": [], "link": [],
@@ -1034,7 +1019,6 @@ def q_quotes_planted(sf_dir: str):
     ner→depparse→coref → char-level quote extraction → multi-sieve
     speaker attribution; (quote tokens, speaker) SQL-computable."""
     from corenlp_ray.pipelines.kg import apply
-    from corenlp_ray.stages.misc_annotators import quote_batch
 
     def synth(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_pylist()
@@ -1046,8 +1030,7 @@ def q_quotes_planted(sf_dir: str):
 
     ann = apply(_docs_ids(sf_dir).map_batches(synth,
                                               batch_format="pyarrow"),
-                ("coref",), distributed=False) \
-        .map_batches(quote_batch, batch_format="pyarrow")
+                ("quote",), distributed=False)
 
     def explode(b: pa.Table) -> pa.Table:
         rows = {"doc_id": [], "quote": [], "speaker": []}
@@ -1206,8 +1189,7 @@ def q_relation_planted(sf_dir: str):
     (subj, rel, obj) per document is SQL-computable from doc_id."""
     import pyarrow.compute as pc
 
-    from corenlp_ray.pipelines.kg import apply
-    from corenlp_ray.stages.relation import relation_batch
+    from corenlp_ray.pipelines.kg import extract, relation_stage
 
     def synth(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_pylist()
@@ -1217,11 +1199,11 @@ def q_relation_planted(sf_dir: str):
             schema=pa.schema([("url", pa.string()),
                               ("text", pa.string())]))
 
-    ann = apply(_docs_ids(sf_dir).map_batches(synth,
-                                              batch_format="pyarrow"),
-                ("tokenize", "pos", "lemma", "ner", "depparse"),
-                distributed=False)   # see q_entity_mentions_planted
-    rels = ann.map_batches(relation_batch, batch_format="pyarrow")
+    rels = extract(_docs_ids(sf_dir).map_batches(synth,
+                                                 batch_format="pyarrow"),
+                   relation_stage(),
+                   ("tokenize", "pos", "lemma", "ner", "depparse"),
+                   distributed=False)
 
     def proj(b: pa.Table) -> pa.Table:
         return pa.Table.from_pydict(

@@ -903,22 +903,28 @@ def _pages(sf_dir: str):
     return read_pages(sf_dir)
 
 
-def _annotated(sf_dir: str):
+def _annotated(sf_dir: str, *stages: str, extractor=None):
+    """English pages → the flagship annotation chain plus ``stages``,
+    ending in ``extractor`` (a registry Stage) when one is given — one
+    registry chain."""
     import pyarrow.compute as pc
 
-    from corenlp_ray.pipelines.kg import annotate_pages
+    from corenlp_ray.pipelines.kg import ANNOTATE_STAGES, apply, extract
 
     pages = _pages(sf_dir).map_batches(
         lambda b: b.filter(pc.equal(b.column("lang"), "en")),
         batch_format="pyarrow")
-    return annotate_pages(pages)
+    names = ANNOTATE_STAGES + stages
+    if extractor is None:
+        return apply(pages, names)
+    return extract(pages, extractor, names)
 
 
 def q_extract_text(sf_dir: str):
     """HTML→text invariant surface: url + extracted text + match flag."""
     import pyarrow.compute as pc
 
-    from corenlp_ray.stages.extract import extract_text_batch
+    from corenlp_ray.pipelines.kg import apply
 
     def project(b: pa.Table) -> pa.Table:
         ok = pc.equal(b.column("text"), b.column("text_extracted"))
@@ -927,13 +933,12 @@ def q_extract_text(sf_dir: str):
             "n_chars": pc.utf8_length(b.column("text_extracted")),
             "byte_identical": ok})
 
-    return _pages(sf_dir).map_batches(extract_text_batch,
-                                      batch_format="pyarrow") \
+    return apply(_pages(sf_dir), ("cleanxml",), distributed=False) \
         .map_batches(project, batch_format="pyarrow")
 
 
 def q_tokenize(sf_dir: str):
-    from corenlp_ray.stages.tokenize import tokenize_ssplit_batch
+    from corenlp_ray.pipelines.kg import apply
 
     def project(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -943,8 +948,7 @@ def q_tokenize(sf_dir: str):
             "n_tokens": pc.list_value_length(b.column("tok_word")),
             "n_sentences": pc.list_value_length(b.column("sent_begin"))})
 
-    return _pages(sf_dir).map_batches(tokenize_ssplit_batch,
-                                      batch_format="pyarrow") \
+    return apply(_pages(sf_dir), ("tokenize",), distributed=False) \
         .map_batches(project, batch_format="pyarrow")
 
 
@@ -968,26 +972,27 @@ def q_entity_mentions(sf_dir: str):
 
 
 def q_openie_triples(sf_dir: str):
+    from corenlp_ray.pipelines.registry import Stage
     from corenlp_ray.stages.openie import openie_batch
 
-    return _annotated(sf_dir).map_batches(openie_batch,
-                                          batch_format="pyarrow")
+    return _annotated(sf_dir,
+                      extractor=Stage("openie", (), (), openie_batch))
 
 
 def q_kbp_triples(sf_dir: str):
-    from corenlp_ray.stages.kbp import kbp_batch
+    from corenlp_ray.pipelines.registry import Stage
+    from corenlp_ray.stages.kbp import KbpExtractor
 
-    return _annotated(sf_dir).map_batches(kbp_batch, batch_format="pyarrow")
+    return _annotated(sf_dir, extractor=Stage("kbp", (), (), KbpExtractor))
 
 
 def q_relation_mentions(sf_dir: str):
     """ACE-style `relation` annotator (Roth/Yih inventory: Live_In,
     Located_In, OrgBased_In, Work_For, Kill) over the real documents —
     rows-only; the full-chain value-hash gate is relation_planted."""
-    from corenlp_ray.stages.relation import relation_batch
+    from corenlp_ray.pipelines.kg import relation_stage
 
-    return _annotated(sf_dir).map_batches(relation_batch,
-                                          batch_format="pyarrow")
+    return _annotated(sf_dir, extractor=relation_stage())
 
 
 def q_kg_triples(sf_dir: str):
@@ -1027,8 +1032,6 @@ def q_kg_triples_weighted(sf_dir: str):
 
 
 def q_entity_linking(sf_dir: str):
-    from corenlp_ray.stages.entitylink import entitylink_batch
-
     def explode(b: pa.Table) -> pa.Table:
         rows = {"url": [], "surface": [], "ner": [], "link": []}
         for r in range(b.num_rows):
@@ -1044,15 +1047,11 @@ def q_entity_linking(sf_dir: str):
                 rows["link"].append(lk)
         return pa.Table.from_pydict(rows)
 
-    return (_annotated(sf_dir)
-            .map_batches(entitylink_batch, batch_format="pyarrow")
+    return (_annotated(sf_dir, "entitylink")
             .map_batches(explode, batch_format="pyarrow"))
 
 
 def q_quotes(sf_dir: str):
-    from corenlp_ray.stages.lemma import lemma_batch
-    from corenlp_ray.stages.misc_annotators import quote_batch
-
     def explode(b: pa.Table) -> pa.Table:
         rows = {"url": [], "quote": [], "speaker": []}
         for r in range(b.num_rows):
@@ -1067,8 +1066,7 @@ def q_quotes(sf_dir: str):
                                     ("quote", pa.string()),
                                     ("speaker", pa.string())]))
 
-    return (_annotated(sf_dir)
-            .map_batches(quote_batch, batch_format="pyarrow")
+    return (_annotated(sf_dir, "quote")
             .map_batches(explode, batch_format="pyarrow"))
 
 
@@ -1223,18 +1221,10 @@ def q_parse_trees(sf_dir: str):
     """Constituency surface (dep→constituency projection, stages/
     parse_tree.py): one PTB-style bracketing per sentence over the
     annotated docs (rows-only; tree well-formedness is golden-tested)."""
+    from corenlp_ray.pipelines.kg import apply
 
-    from corenlp_ray.stages.depparse import depparse_batch
-    from corenlp_ray.stages.parse_tree import parse_tree_batch
-    from corenlp_ray.stages.pos import pos_batch
-
-    from corenlp_ray.stages.tokenize import tokenize_ssplit_batch
-
-    ds = (_docs(sf_dir, ["doc_id", "text"])
-          .map_batches(tokenize_ssplit_batch, batch_format="pyarrow")
-          .map_batches(pos_batch, batch_format="pyarrow")
-          .map_batches(depparse_batch, batch_format="pyarrow")
-          .map_batches(parse_tree_batch, batch_format="pyarrow"))
+    ds = apply(_docs(sf_dir, ["doc_id", "text"]), ("parse",),
+               distributed=False)
 
     def flatten(b):
         import pyarrow as _pa
@@ -1503,8 +1493,6 @@ def q_sentiment(sf_dir: str):
 
 def q_gender(sf_dir: str):
     """PERSON-mention first-name gender lookup (GenderAnnotator)."""
-    from corenlp_ray.stages.misc_annotators import gender_batch
-
     def explode(b: pa.Table) -> pa.Table:
         rows = {"url": [], "surface": [], "gender": []}
         for r in range(b.num_rows):
@@ -1521,16 +1509,13 @@ def q_gender(sf_dir: str):
             [("url", pa.string()), ("surface", pa.string()),
              ("gender", pa.string())]))
 
-    return (_annotated(sf_dir)
-            .map_batches(gender_batch, batch_format="pyarrow")
+    return (_annotated(sf_dir, "gender")
             .map_batches(explode, batch_format="pyarrow"))
 
 
 def q_natlog_polarity(sf_dir: str):
     """Token monotonicity-polarity marks (NaturalLogicAnnotator)."""
     import pyarrow.compute as pc
-
-    from corenlp_ray.stages.natlog import natlog_batch
 
     def project(b: pa.Table) -> pa.Table:
         downs = [sum(1 for p in pol if p == "down")
@@ -1540,8 +1525,7 @@ def q_natlog_polarity(sf_dir: str):
             "n_tokens": pc.list_value_length(b.column("tok_word")),
             "n_downward": pa.array(downs, type=pa.int64())})
 
-    return (_annotated(sf_dir)
-            .map_batches(natlog_batch, batch_format="pyarrow")
+    return (_annotated(sf_dir, "natlog")
             .map_batches(project, batch_format="pyarrow"))
 
 

@@ -7,16 +7,16 @@ Annotator.java:54-84, StanfordCoreNLP.ensurePrerequisiteAnnotators
 :481-553), plus the custom-annotator plugin point
 (customAnnotatorClass.*, StanfordCoreNLP.java:150,686-688).
 
-A Stage is (name, requires, provides, fn-or-actor-class, map_batches
-kwargs, constructor kwargs). The registry is the ONE definition of chain
-order and prerequisites: ``build(names, columns)`` closes the request
-over ``requires``/``provides`` and returns the stages in registration
-order, which is the chain order. Every execution shape composes what
-``build`` returns: ``apply`` chains the stages onto a Dataset (one
-map_batches each), the fused KG actor and the simple API call them
-in-process (``instantiate``). Demand-driven assembly (the simple-API
-trick, simple/Document.java): ask for only the stages whose outputs you
-need.
+A Stage is (name, requires, provides, fn-or-class, constructor kwargs).
+The registry is the ONE definition of chain order and prerequisites:
+``build(names, columns)`` closes the request over ``requires``/
+``provides`` and returns the stages in registration order, which is the
+chain order. There is one execution shape: ``Chain`` runs what ``build``
+returns in one process over a shared pylist cache, and ``launch`` maps a
+chain onto a Dataset (one actor pool when distributed, else plain
+tasks). ``apply``, ``extract``, the fused KG actor and the simple API all
+run a ``Chain``. Demand-driven assembly (the simple-API trick,
+simple/Document.java): ask for only the stages whose outputs you need.
 """
 from __future__ import annotations
 
@@ -30,13 +30,7 @@ class Stage:
     requires: tuple
     provides: tuple
     fn: Union[Callable, type]
-    # map_batches kwargs for the distributed path (actor pools etc.);
-    # a dict, or a zero-arg callable evaluated at apply time (lets pool
-    # sizes adapt to the cluster CPU count)
-    compute: Union[dict, Callable[[], dict]] = field(default_factory=dict)
-    # constructor kwargs of an actor-class ``fn`` (e.g. a trained
-    # model's path): shipped as fn_constructor_kwargs, and readable
-    # in-process without evaluating ``compute``
+    # constructor kwargs of a class ``fn`` (e.g. a trained model's path)
     init_kwargs: dict = field(default_factory=dict)
 
 
@@ -94,25 +88,64 @@ def instantiate(st: Stage) -> Callable:
     return st.fn(**st.init_kwargs) if isinstance(st.fn, type) else st.fn
 
 
-def map_stage(ds, st: Stage, distributed: bool = True):
-    """One stage as one map_batches: ``st.compute`` (an actor pool for
-    model stages) when distributed, else a plain in-process task."""
+class Chain:
+    """Resolved stages run in order in ONE process over one shared pylist
+    cache: each stage reads upstream columns from it and deposits what
+    it builds (stages/_cache.py), so no column is converted from Arrow
+    twice. The reference's execution shape: one in-process annotator
+    pipeline per document (AnnotationPipeline.java:66-83). Every stage
+    takes ``(batch, cols=None)``, and so does a chain; an extractor
+    (annotated docs → rows of another schema) is just a chain's last
+    stage."""
+
+    def __init__(self, stages: Sequence[Stage]):
+        self.chain = {st.name: instantiate(st) for st in stages}
+
+    def __call__(self, batch, cols: dict | None = None):
+        cols = {} if cols is None else cols
+        for stage in self.chain.values():
+            batch = stage(batch, cols=cols)
+        return batch
+
+
+def _ncpus() -> int:
+    import ray
+
+    try:
+        return max(2, int(ray.cluster_resources().get("CPU", 4)))
+    except Exception:
+        return 4
+
+
+def launch(ds, cls: type, ctor: dict, distributed: bool = True,
+           **map_kwargs):
+    """``cls(**ctor)`` (a ``Chain``) as ONE map_batches over ``ds`` — the
+    only way a chain reaches a Dataset. ``ctor["stages"]`` is resolved
+    HERE, on the driver: a Ray worker imports a fresh default registry,
+    so resolving there would drop registered weighted slots.
+
+    distributed=True: one actor per CPU minus a driver/IO share, floor
+    1. The pool must never reserve EVERY cpu, or the upstream read tasks
+    starve and the pipeline wedges. distributed=False: one in-process
+    instance shipped to plain tasks."""
     if not distributed:
-        fn = instantiate(st)
-        if isinstance(st.fn, type):
-            fn = lambda b, _i=fn: _i(b)  # noqa: E731
-        return ds.map_batches(fn, batch_format="pyarrow")
-    kwargs = st.compute() if callable(st.compute) else dict(st.compute)
-    if st.init_kwargs:
-        kwargs["fn_constructor_kwargs"] = st.init_kwargs
-    return ds.map_batches(st.fn, batch_format="pyarrow", **kwargs)
+        inst = cls(**ctor)
+        return ds.map_batches(lambda b: inst(b), batch_format="pyarrow",
+                              **map_kwargs)
+    return ds.map_batches(cls, batch_format="pyarrow",
+                          concurrency=max(1, _ncpus() - 1), num_cpus=1,
+                          fn_constructor_kwargs=ctor, **map_kwargs)
 
 
 def apply(ds, names: Sequence[str], distributed: bool = True):
-    """Chain the (dependency-ordered) stages onto a Dataset.
+    """The named stages and their prerequisites as one chain over a
+    Dataset (columns appended)."""
+    return launch(ds, Chain, {"stages": build(names)}, distributed)
 
-    distributed=False forces plain task stages with the stateless variants
-    (useful under tight CPU budgets / unit tests)."""
-    for st in build(names):
-        ds = map_stage(ds, st, distributed)
-    return ds
+
+def extract(ds, extractor: Stage, names: Sequence[str] = (),
+            distributed: bool = True):
+    """``apply`` with ``extractor`` (annotated docs → rows of its own
+    schema) as the chain's last stage."""
+    return launch(ds, Chain, {"stages": build(names) + [extractor]},
+                  distributed)

@@ -312,8 +312,10 @@ def build_kg(triples_ds, alias_map=None, num_buckets: int = 16):
     from ray.data.aggregate import Max, Min, Sum
 
     if alias_map is not None:
+        from corenlp_ray.pipelines.registry import _ncpus
+
         ref = ray.put(alias_map)
-        ncpus = max(2, int(ray.cluster_resources().get("CPU", 4)))
+        ncpus = _ncpus()
         # resolve + combine fused into one actor-pool pass
         partial = triples_ds.map_batches(
             ResolveAliases, batch_format="pyarrow",

@@ -507,7 +507,10 @@ def coref_full_batch(batch: pa.Table,
                  "pron_canonical"):
         if name in out.column_names:
             out = out.drop_columns([name])
-    put(cols, men_canonical=canon_c, pron_idx=pidx_c,
+    # the replaced men_* too: a downstream cached reader must not pair
+    # the entity-only mentions with the new canonicals
+    put(cols, men_begin=mb2, men_end=me2, men_ner=mn2, men_norm=mv2,
+        men_chain=chain_c, men_canonical=canon_c, pron_idx=pidx_c,
         pron_canonical=pcan_c)
     return (out
             .append_column("men_begin", pa.array(mb2, type=i32))

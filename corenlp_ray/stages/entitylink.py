@@ -78,13 +78,16 @@ class EntityLinker:
         else:
             self.wikidict = WIKIDICT
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table,
+                 cols: dict | None = None) -> pa.Table:
+        from corenlp_ray.stages._cache import col
+
         out = []
-        words_col = batch.column("tok_word").to_pylist()
-        mb_col = batch.column("men_begin").to_pylist()
-        me_col = batch.column("men_end").to_pylist()
-        mn_col = batch.column("men_ner").to_pylist()
-        mv_col = batch.column("men_norm").to_pylist()
+        words_col = col(batch, "tok_word", cols)
+        mb_col = col(batch, "men_begin", cols)
+        me_col = col(batch, "men_end", cols)
+        mn_col = col(batch, "men_ner", cols)
+        mv_col = col(batch, "men_norm", cols)
         for r in range(batch.num_rows):
             words = words_col[r]
             links = []
@@ -97,9 +100,10 @@ class EntityLinker:
             "men_link", pa.array(out, type=pa.list_(pa.string())))
 
 
-def entitylink_batch(batch: pa.Table) -> pa.Table:
+def entitylink_batch(batch: pa.Table,
+                     cols: dict | None = None) -> pa.Table:
     """Stateless-task variant."""
-    return EntityLinker()(batch)
+    return EntityLinker()(batch, cols)
 
 
 # ---------------------------------------------- real wikidict TSV format ----

@@ -792,14 +792,15 @@ class KbpExtractor:
 
     def __call__(self, batch: pa.Table,
                  cols: dict | None = None) -> pa.Table:
-        # ``cols``: optionally pre-converted pylists (the fused
-        # TripleExtractor converts the Arrow batch ONCE for openie+kbp)
-        if cols is None:
-            cols = {name: batch.column(name).to_pylist() for name in (
-                "url", "tok_word", "tok_pos", "tok_lemma", "sent_begin",
-                "sent_end", "dep_head", "dep_label", "men_begin",
-                "men_end", "men_ner", "men_norm", "men_canonical",
-                "pron_idx", "pron_canonical")}
+        # ``cols``: the chain's pylist cache (the fused TripleExtractor
+        # converts the Arrow batch ONCE for openie+kbp)
+        from corenlp_ray.stages._cache import col
+
+        cols = {name: col(batch, name, cols) for name in (
+            "url", "tok_word", "tok_pos", "tok_lemma", "sent_begin",
+            "sent_end", "dep_head", "dep_label", "men_begin",
+            "men_end", "men_ner", "men_norm", "men_canonical",
+            "pron_idx", "pron_canonical")}
         rows: List[dict] = []
         for r in range(len(cols["url"])):
             url = cols["url"][r]

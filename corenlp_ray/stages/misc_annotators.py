@@ -33,13 +33,15 @@ def gender_of(first_name: str) -> str:
     return "UNKNOWN"
 
 
-def gender_batch(batch: pa.Table) -> pa.Table:
+def gender_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
     """+ men_gender (aligned with men_*): PERSON mentions get first-name
     gender, others UNKNOWN."""
+    from corenlp_ray.stages._cache import col
+
     out = []
-    words_col = batch.column("tok_word").to_pylist()
-    mb_col = batch.column("men_begin").to_pylist()
-    mn_col = batch.column("men_ner").to_pylist()
+    words_col = col(batch, "tok_word", cols)
+    mb_col = col(batch, "men_begin", cols)
+    mn_col = col(batch, "men_ner", cols)
     for r in range(batch.num_rows):
         words = words_col[r]
         out.append([gender_of(words[b]) if t == "PERSON" else "UNKNOWN"
@@ -156,12 +158,14 @@ def truecase_words(words: List[str],
     return out
 
 
-def truecase_batch(batch: pa.Table) -> pa.Table:
+def truecase_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
     """+ tok_truecase: restored casing for caseless text (requires tok_*;
     applies the deterministic lexicon + context rules)."""
+    from corenlp_ray.stages._cache import col
+
     out = []
-    words_col = batch.column("tok_word").to_pylist()
-    sb_col = batch.column("sent_begin").to_pylist()
+    words_col = col(batch, "tok_word", cols)
+    sb_col = col(batch, "sent_begin", cols)
     for r in range(batch.num_rows):
         words = words_col[r]
         initials = set(sb_col[r])
@@ -375,7 +379,7 @@ def attribute_quote_sieves(
     return "", "", ""
 
 
-def quote_batch(batch: pa.Table) -> pa.Table:
+def quote_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
     """+ quo_begin/quo_end/quo_text/quo_speaker/quo_sieve parallel lists
     per doc (requires tok_*, tok_lemma, men_*).
 
@@ -384,12 +388,14 @@ def quote_batch(batch: pa.Table) -> pa.Table:
     reference's DEFAULT_QMSIEVES) when the pos/coref/depparse columns are
     in the batch (the KG chain always carries them), else falls back to
     the single loose sieve."""
+    from corenlp_ray.stages._cache import col as cached
+
     qb_c, qe_c, qt_c, qs_c, qv_c = [], [], [], [], []
     names = set(batch.column_names)
     full = {"tok_pos", "tok_sent", "men_canonical"} <= names
 
     def col(name):
-        return batch.column(name).to_pylist() if name in names \
+        return cached(batch, name, cols) if name in names \
             else [None] * batch.num_rows
 
     words_col = col("tok_word")

@@ -105,15 +105,17 @@ def polarity_sentence(words: List[str], tags: List[str],
     return pol
 
 
-def natlog_batch(batch: pa.Table) -> pa.Table:
+def natlog_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
     """Stateless map_batches stage: + tok_polarity (requires dep_*)."""
+    from corenlp_ray.stages._cache import col
+
     out = []
-    words_col = batch.column("tok_word").to_pylist()
-    tags_col = batch.column("tok_pos").to_pylist()
-    heads_col = batch.column("dep_head").to_pylist()
-    labels_col = batch.column("dep_label").to_pylist()
-    sb_col = batch.column("sent_begin").to_pylist()
-    se_col = batch.column("sent_end").to_pylist()
+    words_col = col(batch, "tok_word", cols)
+    tags_col = col(batch, "tok_pos", cols)
+    heads_col = col(batch, "dep_head", cols)
+    labels_col = col(batch, "dep_label", cols)
+    sb_col = col(batch, "sent_begin", cols)
+    se_col = col(batch, "sent_end", cols)
     for r in range(batch.num_rows):
         words, tags = words_col[r], tags_col[r]
         heads, labels = heads_col[r], labels_col[r]

@@ -736,14 +736,15 @@ def openie_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
 
     Requires tok_*, dep_*, men_*, pron_* columns. Explodes rows; output
     schema is TRIPLES_SCHEMA. Stateless, per-sentence parallel.
-    ``cols``: optionally pre-converted column pylists (the fused
-    TripleExtractor converts the Arrow batch ONCE for openie + kbp)."""
-    if cols is None:
-        cols = {name: batch.column(name).to_pylist() for name in (
-            "url", "tok_word", "tok_pos", "tok_lemma",
-            "sent_begin", "sent_end", "dep_head", "dep_label",
-            "men_begin", "men_end", "men_ner", "pron_idx",
-            "pron_canonical")}
+    ``cols``: the chain's pylist cache (the fused TripleExtractor
+    converts the Arrow batch ONCE for openie + kbp)."""
+    from corenlp_ray.stages._cache import col
+
+    cols = {name: col(batch, name, cols) for name in (
+        "url", "tok_word", "tok_pos", "tok_lemma",
+        "sent_begin", "sent_end", "dep_head", "dep_label",
+        "men_begin", "men_end", "men_ner", "pron_idx",
+        "pron_canonical")}
     rows: List[dict] = []
     for r in range(batch.num_rows):
         url = cols["url"][r]

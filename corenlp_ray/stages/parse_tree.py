@@ -103,13 +103,16 @@ class WeightedParseTree:
 
         self.model = PcfgParser.load(model_path)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table,
+                 cols: dict | None = None) -> pa.Table:
+        from corenlp_ray.stages._cache import col
+
         out = []
-        words_col = batch.column("tok_word").to_pylist()
-        tags_col = batch.column("tok_pos").to_pylist()
-        heads_col = batch.column("dep_head").to_pylist()
-        sb_col = batch.column("sent_begin").to_pylist()
-        se_col = batch.column("sent_end").to_pylist()
+        words_col = col(batch, "tok_word", cols)
+        tags_col = col(batch, "tok_pos", cols)
+        heads_col = col(batch, "dep_head", cols)
+        sb_col = col(batch, "sent_begin", cols)
+        se_col = col(batch, "sent_end", cols)
         for words, tags, heads, sbs, ses in zip(words_col, tags_col,
                                                 heads_col, sb_col, se_col):
             trees = []
@@ -125,15 +128,18 @@ class WeightedParseTree:
             "parse_tree", pa.array(out, type=pa.list_(pa.string())))
 
 
-def parse_tree_batch(batch: pa.Table) -> pa.Table:
+def parse_tree_batch(batch: pa.Table,
+                     cols: dict | None = None) -> pa.Table:
     """+ parse_tree (one bracketing per sentence; requires tok_word,
     tok_pos, dep_head, sent_begin/sent_end)."""
+    from corenlp_ray.stages._cache import col
+
     out = []
-    words_col = batch.column("tok_word").to_pylist()
-    tags_col = batch.column("tok_pos").to_pylist()
-    heads_col = batch.column("dep_head").to_pylist()
-    sb_col = batch.column("sent_begin").to_pylist()
-    se_col = batch.column("sent_end").to_pylist()
+    words_col = col(batch, "tok_word", cols)
+    tags_col = col(batch, "tok_pos", cols)
+    heads_col = col(batch, "dep_head", cols)
+    sb_col = col(batch, "sent_begin", cols)
+    se_col = col(batch, "sent_end", cols)
     for words, tags, heads, sbs, ses in zip(words_col, tags_col,
                                             heads_col, sb_col, se_col):
         trees = []

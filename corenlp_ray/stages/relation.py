@@ -196,12 +196,15 @@ class RelationExtractor:
 
             self.classifier = RelationClassifier.load(model_path)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cols = {name: batch.column(name).to_pylist()
-                for name in ("url",) + RELATION_COLUMNS}
+    def __call__(self, batch: pa.Table,
+                 cols: dict | None = None) -> pa.Table:
+        from corenlp_ray.stages._cache import col
+
+        lists = {name: col(batch, name, cols)
+                 for name in ("url",) + RELATION_COLUMNS}
         rows: List[dict] = []
-        for r in range(len(cols["url"])):
-            row = {k: cols[k][r] for k in cols}
+        for r in range(len(lists["url"])):
+            row = {k: v[r] for k, v in lists.items()}
             for cand in candidate_relation_pairs(row):
                 if self.classifier is not None:
                     rel, conf = self.classifier.predict(

@@ -157,10 +157,13 @@ def sentiment_tree(tree: str) -> str:
     return LABELS[4]
 
 
-def sentiment_tree_batch(batch: pa.Table) -> pa.Table:
+def sentiment_tree_batch(batch: pa.Table,
+                         cols: dict | None = None) -> pa.Table:
     """+ sent_sentiment_tree (requires parse_tree)."""
+    from corenlp_ray.stages._cache import col
+
     out = []
-    for trees in batch.column("parse_tree").to_pylist():
+    for trees in col(batch, "parse_tree", cols):
         out.append([sentiment_tree(t) for t in trees])
     return batch.append_column(
         "sent_sentiment_tree", pa.array(out, type=pa.list_(pa.string())))
@@ -179,9 +182,12 @@ class WeightedSentimentTree:
 
         self.model = RNTN.load(model_path)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table,
+                 cols: dict | None = None) -> pa.Table:
+        from corenlp_ray.stages._cache import col
+
         out = []
-        for trees in batch.column("parse_tree").to_pylist():
+        for trees in col(batch, "parse_tree", cols):
             out.append([self.model.predict_label(t) for t in trees])
         return batch.append_column(
             "sent_sentiment_tree",

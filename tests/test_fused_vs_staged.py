@@ -3,8 +3,10 @@ identical triples (same kernels, same order — determinism across
 execution shapes, which is also what makes the output independent of
 parallelism level)."""
 import pyarrow as pa
+import pytest
 
 from corenlp_ray.sources.pages import synth_pages_table
+from corenlp_ray.pipelines import registry
 from corenlp_ray.pipelines.kg import (FusedDocAnnotator, TripleExtractor,
                                       annotate_pages)
 from corenlp_ray.stages.coref import coref_batch
@@ -59,8 +61,8 @@ def test_batch_split_invariance():
 def test_in_process_chain_does_not_import_ray():
     """Building and calling the in-process chain (fused actor classes
     and the simple API) never imports Ray: importing it costs more than
-    the whole in-process set-up, so resolving stages must not evaluate
-    actor-pool sizing."""
+    the whole in-process set-up, so resolving and running a chain must
+    not ask the cluster for its CPU count."""
     import os
     import subprocess
     import sys
@@ -80,3 +82,23 @@ def test_in_process_chain_does_not_import_ray():
     ])
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     subprocess.run([sys.executable, "-c", code], check=True, cwd=root)
+
+
+@pytest.mark.parametrize("name", sorted(registry.registry()))
+def test_cached_chain_equals_uncached_kernels(name):
+    """Every registered stage, with its prerequisites: the chain with one
+    shared pylist cache gives the same table as the kernels called one
+    by one without a cache, and every list it leaves in the cache still
+    matches its table column (a stage that replaces a column must
+    replace the cached list too, or a later cached reader pairs stale
+    and new columns)."""
+    tbl = synth_pages_table(n=25, seed=31)
+    stages = registry.build((name,))
+    uncached = tbl
+    for st in stages:
+        uncached = registry.instantiate(st)(uncached)
+    cols: dict = {}
+    cached = registry.Chain(stages)(tbl, cols=cols)
+    assert cached.equals(uncached)
+    for column, values in cols.items():
+        assert values == cached.column(column).to_pylist(), column

@@ -91,3 +91,37 @@ def test_properties_statistical_coref_requires_model():
 def test_properties_unknown_key_raises():
     with pytest.raises(ValueError, match="unsupported properties"):
         Pipeline("pos", properties={"pos.flavor": "maxent"})
+
+
+def test_default_distributed_triples_finish_on_small_cluster():
+    """``Pipeline("openie,kbp").triples`` with the default
+    ``distributed=True`` finishes on a 4-CPU cluster with an input
+    repartitioned into 8 blocks (one chained actor pool per model stage
+    reserved every CPU there, so the repartition tasks never ran), and
+    its triples equal the in-process task run's. Runs in its own process under a wall-clock
+    bound."""
+    import os
+    import subprocess
+    import sys
+
+    code = "\n".join([
+        "import ray, ray.data as rd",
+        "from corenlp_ray.pipeline_api import Pipeline",
+        "from corenlp_ray.sources.pages import synth_pages_table",
+        "ray.init(address='local', num_cpus=4, include_dashboard=False,",
+        "         logging_level='ERROR')",
+        "rd.DataContext.get_current().enable_progress_bars = False",
+        "tbl = synth_pages_table(n=48, seed=7)",
+        "ds = rd.from_arrow(tbl).repartition(8)",
+        "def keys(d):",
+        "    return sorted(map(tuple, (r.values() for r in d.select_columns(",
+        "        ['url', 'subj', 'pred', 'obj', 'source']).take_all())))",
+        "got = keys(Pipeline('openie,kbp').triples(ds))",
+        "want = keys(Pipeline('openie,kbp', distributed=False).triples(ds))",
+        "assert got and got == want, (len(got), len(want))",
+        "ray.shutdown()",
+    ])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=root,
+                   env=env, timeout=150)

@@ -2,8 +2,8 @@
 distill tiny pos / depparse / kbp / coref models, register every
 weighted path (the reference's equivalent: pointing pos.model /
 depparse.model / kbp.model / coref.algorithm at .ser.gz files), and run
-the full distributed annotate → extract chain with the pinned-weight
-actor pools. Guards the slot composition — each swap is unit-tested
+the full distributed annotate → extract chain with the weights pinned
+in each chain actor. Guards the slot composition — each swap is unit-tested
 alone; this pins that they coexist in one pipeline."""
 import pyarrow as pa
 import pytest
@@ -85,7 +85,7 @@ def _collect(ds) -> pa.Table:
 
 def test_all_weighted_slots_compose(ray_session, model_paths):
     """Full distributed chain with every statistical slot registered:
-    weighted pos + depparse + coref actor pools, kbp ensemble with the
+    weighted pos + depparse + coref stages, kbp ensemble with the
     classifier fallback — produces triples with the flagship schema.
     The fused chain runs the same registered slots, in-process and in
     the actor pool (whose stages the driver resolves), so its triples

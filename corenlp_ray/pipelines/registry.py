@@ -13,10 +13,11 @@ The registry is the ONE definition of chain order and prerequisites:
 ``provides`` and returns the stages in registration order, which is the
 chain order. There is one execution shape: ``Chain`` runs what ``build``
 returns in one process over a shared pylist cache, and ``launch`` maps a
-chain onto a Dataset (one actor pool when distributed, else plain
-tasks). ``apply``, ``extract``, the fused KG actor and the simple API all
-run a ``Chain``. Demand-driven assembly (the simple-API trick,
-simple/Document.java): ask for only the stages whose outputs you need.
+chain onto a Dataset (one actor pool when distributed on ≥2 CPUs,
+else plain tasks). ``apply``, ``extract``, the fused KG actor and the
+simple API all run a ``Chain``. Demand-driven assembly (the simple-API
+trick, simple/Document.java): ask for only the stages whose outputs you
+need.
 """
 from __future__ import annotations
 
@@ -112,7 +113,7 @@ def _ncpus() -> int:
     import ray
 
     try:
-        return max(2, int(ray.cluster_resources().get("CPU", 4)))
+        return max(1, int(ray.cluster_resources().get("CPU", 4)))
     except Exception:
         return 4
 
@@ -124,16 +125,20 @@ def launch(ds, cls: type, ctor: dict, distributed: bool = True,
     HERE, on the driver: a Ray worker imports a fresh default registry,
     so resolving there would drop registered weighted slots.
 
-    distributed=True: one actor per CPU minus a driver/IO share, floor
-    1. The pool must never reserve EVERY cpu, or the upstream read tasks
-    starve and the pipeline wedges. distributed=False: one in-process
-    instance shipped to plain tasks."""
-    if not distributed:
-        inst = cls(**ctor)
-        return ds.map_batches(lambda b: inst(b), batch_format="pyarrow",
+    The shape is chosen by ``distributed`` and the cluster's CPU count:
+      * task map — ``distributed=False``, or a cluster with ONE CPU: one
+        instance built on the driver and shipped to plain tasks. On one
+        CPU a pool would hold the only CPU and starve the upstream read
+        tasks, so the pipeline would never finish.
+      * actor pool — ``distributed=True`` on ≥2 CPUs: one actor per CPU
+        minus a driver/IO share, so the pool never reserves EVERY CPU;
+        each actor builds its stages once.
+    Either way the operator is named after ``cls``."""
+    if not distributed or _ncpus() == 1:
+        return ds.map_batches(cls(**ctor), batch_format="pyarrow",
                               **map_kwargs)
     return ds.map_batches(cls, batch_format="pyarrow",
-                          concurrency=max(1, _ncpus() - 1), num_cpus=1,
+                          concurrency=_ncpus() - 1, num_cpus=1,
                           fn_constructor_kwargs=ctor, **map_kwargs)
 
 

@@ -14,23 +14,26 @@ Scale design (what holds at 10^12 documents):
     batch id is an implicit salt and the partial aggregate is the salted
     first phase; the final ``groupby`` only sees pre-collapsed rows.
   * The alias map (normalized surface → canonical surface) is built the
-    same two-phase way, then BROADCAST via ``ray.put`` once and read in
-    every task — never re-shipped per batch, never a shuffle join. At
-    dictionary sizes beyond object-store reach, swap in the bucketed
-    hash-join (hash-partition both sides on norm-key buckets); the
-    broadcast path is correct for vocabulary ≪ corpus, which is the
-    regime here (entity vocabulary grows sublinearly in documents).
+    same two-phase way, then BROADCAST via ``ray.put`` once; each task of
+    the resolve map fetches it from the local object store on its first
+    batch — never re-shipped per batch, never a shuffle join. Resolution
+    keeps no state between blocks, so it runs as plain tasks, not an
+    actor pool. Above ``ALIAS_VOCAB_BROADCAST_MAX`` surface forms the
+    bucketed hash-join (hash-partition both sides on norm-key buckets)
+    replaces the broadcast; the broadcast path is correct for
+    vocabulary ≪ corpus, the usual regime (entity vocabulary grows
+    sublinearly in documents).
   * Output is hash(subj)-bucketed partitioned Parquet (resumable layout:
     one directory per bucket).
-  * Determinism: canonical pick = (max support, then lexicographic);
+  * Determinism: canonical pick = (max support, then lexicographic),
+    stated once in ``_pick_canonical`` and used by both regimes;
     bucket = crc32 (process-stable, unlike Python ``hash``).
 """
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List
+from typing import Dict
 
-import pandas as pd
 import pyarrow as pa
 
 from corenlp_ray.functions.lexicon import PERSON_TITLES
@@ -65,23 +68,19 @@ def subj_bucket(s: str, num_buckets: int) -> int:
 def _surface_partial_counts(batch: pa.Table) -> pa.Table:
     """Phase-1 combiner: triples batch → ≤1 row per (norm, surface) with a
     partial count. Runs before the shuffle; defuses hot keys."""
-    counts: Dict[tuple, int] = {}
+    norms, surfaces = [], []
     for col in ("subj_canonical", "obj_canonical"):
         for s in batch.column(col).to_pylist():
-            if not s:
-                continue
-            key = (normalize_surface(s), s)
-            if key[0]:
-                counts[key] = counts.get(key, 0) + 1
-    norms, surfaces, cnts = [], [], []
-    for (n, s), c in counts.items():
-        norms.append(n)
-        surfaces.append(s)
-        cnts.append(c)
-    return pa.Table.from_pydict(
-        {"norm": norms, "surface": surfaces, "n": cnts},
-        schema=pa.schema([("norm", pa.string()), ("surface", pa.string()),
-                          ("n", pa.int64())]))
+            n = normalize_surface(s) if s else ""
+            if n:
+                norms.append(n)
+                surfaces.append(s)
+    counted = pa.table({"norm": pa.array(norms, type=pa.string()),
+                        "surface": pa.array(surfaces, type=pa.string())}
+                       ).group_by(["norm", "surface"], use_threads=False
+                                  ).aggregate([([], "count_all")])
+    return pa.table({"norm": counted["norm"], "surface": counted["surface"],
+                     "n": counted["count_all"]})
 
 
 def _alias_totals(triples_ds):
@@ -95,30 +94,38 @@ def _alias_totals(triples_ds):
         Sum("n", alias_name="n"))
 
 
+def _pick_canonical(totals: pa.Table) -> pa.Table:
+    """(norm, surface, n) → (norm, canonical): the one canonical-pick rule
+    — max support, ties → the lexicographically smallest surface. Both
+    alias regimes run it: on the driver over the whole vocabulary, and
+    per hash partition of it."""
+    first = (totals.sort_by([("n", "descending"), ("surface", "ascending")])
+             .group_by("norm", use_threads=False)
+             .aggregate([("surface", "first")]))
+    return pa.table({"norm": first["norm"],
+                     "canonical": first["surface_first"]})
+
+
 def build_alias_map(triples_ds, totals=None) -> Dict[str, str]:
     """Cross-document surface-form clustering → {norm: canonical}.
 
     Two-phase aggregate: vectorized per-batch partials → native hash
     aggregate (Sum) over (norm, surface) — no per-group Python. The
-    canonical pick (max support, ties lexicographic) runs on the driver
-    over the AGGREGATED vocabulary table, which is entity-vocabulary-
-    sized (≪ corpus; it is about to become a broadcast dict anyway).
-    This is the BROADCAST regime — above ``ALIAS_VOCAB_BROADCAST_MAX``
-    entries the pipeline switches to ``build_alias_assignments`` +
-    ``resolve_aliases_join`` (fully distributed; no driver dict).
+    canonical pick runs on the driver over the AGGREGATED vocabulary
+    table, which is entity-vocabulary-sized (≪ corpus; it is about to
+    become a broadcast dict anyway). This is the BROADCAST regime —
+    above ``ALIAS_VOCAB_BROADCAST_MAX`` entries the pipeline switches to
+    ``build_alias_assignments`` + ``resolve_aliases_join`` (fully
+    distributed; no driver dict).
     """
     if totals is None:
         totals = _alias_totals(triples_ds)
-    best: Dict[str, tuple] = {}
-    for b in totals.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        for n, s, c in zip(b.column("norm").to_pylist(),
-                           b.column("surface").to_pylist(),
-                           b.column("n").to_pylist()):
-            cur = best.get(n)
-            # max support; ties → lexicographically smallest surface
-            if cur is None or (-c, s) < cur:
-                best[n] = (-c, s)
-    return {n: s for n, (_, s) in best.items()}
+    parts = list(totals.iter_batches(batch_size=None, batch_format="pyarrow"))
+    if not parts:
+        return {}
+    picked = _pick_canonical(pa.concat_tables(parts))
+    return dict(zip(picked["norm"].to_pylist(),
+                    picked["canonical"].to_pylist()))
 
 
 # vocabulary size above which the driver-dict broadcast path is replaced
@@ -127,32 +134,21 @@ def build_alias_map(triples_ds, totals=None) -> Dict[str, str]:
 ALIAS_VOCAB_BROADCAST_MAX = 2_000_000
 
 
-def _pick_canonical_group(df):
-    """Per-norm canonical pick: max support, ties lexicographically
-    smallest surface — one vectorized pandas pass per group."""
-    sub = df.sort_values(["n", "surface"], ascending=[False, True])
-    return sub.iloc[:1][["norm", "surface"]].rename(
-        columns={"surface": "canonical"})
+def build_alias_assignments(totals):
+    """Distributed alias resolution: (norm, surface, n) totals Dataset →
+    Dataset(norm, canonical).
 
-
-def build_alias_assignments(triples_ds, totals=None):
-    """Distributed alias resolution: → Dataset(norm, canonical).
-
-    The scale path: canonical picks computed via groupby(norm) argmax
-    inside the cluster — the vocabulary never lands on the driver.
-    Uses the coarse hash-partition + vectorized in-partition groupby
-    (ops/dedup.partitioned_group_apply) rather than per-norm map_groups:
-    at billions of norms a per-tiny-group Python dispatch is the
-    map_groups trap the repo's groupbys all avoid."""
+    The scale path: canonical picks computed inside the cluster — the
+    vocabulary never lands on the driver. Uses the coarse hash-partition
+    + in-partition ``_pick_canonical`` (ops/dedup.partitioned_group_apply)
+    rather than per-norm map_groups: at billions of norms a
+    per-tiny-group Python dispatch is the map_groups trap the repo's
+    groupbys all avoid."""
     from corenlp_ray.ops.dedup import partitioned_group_apply
 
-    if totals is None:
-        totals = _alias_totals(triples_ds)
-
     def pick_partition(df):
-        sub = df.sort_values(["n", "surface"], ascending=[False, True])
-        out = sub.groupby("norm", sort=False).head(1)[["norm", "surface"]]
-        return out.rename(columns={"surface": "canonical"})
+        return _pick_canonical(
+            pa.Table.from_pandas(df, preserve_index=False)).to_pandas()
 
     return partitioned_group_apply(totals, ["norm"], pick_partition,
                                    inner_is_partition=True)
@@ -162,7 +158,7 @@ def resolve_alias_scale(triples_ds, vocab_broadcast_max: int | None = None):
     """Route alias canonicalization by vocabulary size.
 
     → ``(alias_map, triples_ds)``: below the threshold the broadcast
-    regime returns the driver dict (``ray.put`` once, read per actor);
+    regime returns the driver dict (``build_kg`` puts it once);
     above it (billions of surface forms at web scale) ``alias_map`` is
     None and the returned triples are ALREADY rewritten via the fully
     distributed argmax + bucketed-join path."""
@@ -175,7 +171,7 @@ def resolve_alias_scale(triples_ds, vocab_broadcast_max: int | None = None):
         return build_alias_map(None, totals=totals), triples_ds
     # the assignments Dataset feeds TWO bucketed joins (subj, obj) —
     # pin it once so the argmax isn't recomputed per consumer
-    assignments = build_alias_assignments(None, totals=totals).materialize()
+    assignments = build_alias_assignments(totals).materialize()
     return None, resolve_aliases_join(triples_ds, assignments)
 
 
@@ -234,32 +230,36 @@ def resolve_aliases_join(triples_ds, alias_ds, num_partitions: int = 32):
 
 
 class ResolveAliases:
-    """map_batches stage: rewrite subj/obj to canonical cluster surfaces.
+    """map_batches callable: rewrite subj/obj to canonical cluster
+    surfaces, then run the per-batch dedup combiner.
 
-    ``alias_ref`` is a ``ray.ObjectRef`` from ``ray.put(alias_map)`` —
-    fetched ONCE per actor (zero-copy from the local object store), never
-    shipped per batch. With ``combine=True`` the per-batch dedup combiner
-    runs in the same stage (resolve + partial-aggregate in one pass)."""
+    ``alias_ref`` is a ``ray.ObjectRef`` from ``ray.put(alias_map)``. The
+    instance is shipped to plain tasks (resolution keeps no state between
+    blocks), and each task fetches the dict from its local object store
+    on its first batch — the dict is never shipped per batch."""
 
-    def __init__(self, alias_ref, combine: bool = False):
-        import ray
+    def __init__(self, alias_ref):
+        self.alias_ref = alias_ref
+        self.aliases: Dict[str, str] | None = None
 
-        self.aliases: Dict[str, str] = ray.get(alias_ref)
-        self.combine = combine
+    def resolve(self, batch: pa.Table) -> pa.Table:
+        if self.aliases is None:
+            import ray
+
+            self.aliases = ray.get(self.alias_ref)
+        al = self.aliases
+        subs = [al.get(normalize_surface(s or ""), s) or s
+                for s in batch.column("subj_canonical").to_pylist()]
+        objs = [al.get(normalize_surface(o or ""), o) or o
+                for o in batch.column("obj_canonical").to_pylist()]
+        return (batch
+                .set_column(batch.schema.get_field_index("subj_canonical"),
+                            "subj_canonical", pa.array(subs, type=pa.string()))
+                .set_column(batch.schema.get_field_index("obj_canonical"),
+                            "obj_canonical", pa.array(objs, type=pa.string())))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        subs, objs = [], []
-        al = self.aliases
-        for s in batch.column("subj_canonical").to_pylist():
-            subs.append(al.get(normalize_surface(s or ""), s) or s)
-        for o in batch.column("obj_canonical").to_pylist():
-            objs.append(al.get(normalize_surface(o or ""), o) or o)
-        out = (batch
-               .set_column(batch.schema.get_field_index("subj_canonical"),
-                           "subj_canonical", pa.array(subs, type=pa.string()))
-               .set_column(batch.schema.get_field_index("obj_canonical"),
-                           "obj_canonical", pa.array(objs, type=pa.string())))
-        return _triple_partial_agg(out) if self.combine else out
+        return _triple_partial_agg(self.resolve(batch))
 
 
 # ----------------------------------------------------------- triple dedup ----
@@ -273,26 +273,13 @@ _PARTIAL_SCHEMA = pa.schema([
 
 def _triple_partial_agg(batch: pa.Table) -> pa.Table:
     """Phase-1 combiner for triple dedup: batch → ≤1 row per (s,p,o) with
-    max confidence, partial support count, min example url."""
-    acc: Dict[tuple, list] = {}
-    urls = batch.column("url").to_pylist()
-    subs = batch.column("subj_canonical").to_pylist()
-    preds = batch.column("pred").to_pylist()
-    objs = batch.column("obj_canonical").to_pylist()
-    confs = batch.column("confidence").to_pylist()
-    for u, s, p, o, c in zip(urls, subs, preds, objs, confs):
-        key = (s, p, o)
-        if key in acc:
-            a = acc[key]
-            a[0] = max(a[0], c)
-            a[1] += 1
-            a[2] = min(a[2], u)
-        else:
-            acc[key] = [c, 1, u]
-    rows = [{"subj": k[0], "pred": k[1], "obj": k[2], "confidence": a[0],
-             "support_count": a[1], "example_url": a[2]}
-            for k, a in acc.items()]
-    return pa.Table.from_pylist(rows, schema=_PARTIAL_SCHEMA)
+    max confidence, partial support count (rows), min example url."""
+    agg = batch.group_by(["subj_canonical", "pred", "obj_canonical"],
+                         use_threads=False).aggregate(
+        [("confidence", "max"), ([], "count_all"), ("url", "min")])
+    return pa.table([agg["subj_canonical"], agg["pred"], agg["obj_canonical"],
+                     agg["confidence_max"], agg["count_all"], agg["url_min"]],
+                    names=_PARTIAL_SCHEMA.names).cast(_PARTIAL_SCHEMA)
 
 
 def _add_bucket(batch: pa.Table, num_buckets: int) -> pa.Table:
@@ -304,26 +291,17 @@ def _add_bucket(batch: pa.Table, num_buckets: int) -> pa.Table:
 def build_kg(triples_ds, alias_map=None, num_buckets: int = 16):
     """triples Dataset → deduplicated KG Dataset partitioned by subj hash.
 
-    Pipeline: [resolve aliases via broadcast] → per-batch partial dedup
-    (combiner) → NATIVE hash aggregate on (subj, pred, obj) — Max/Sum/Min
-    over pre-collapsed rows, no per-group Python — → bucket column.
+    Pipeline: per-batch [alias resolve via the broadcast dict, then]
+    partial dedup (combiner) as one task map → NATIVE hash aggregate on
+    (subj, pred, obj) — Max/Sum/Min over pre-collapsed rows, no
+    per-group Python — → bucket column.
     """
     import ray
     from ray.data.aggregate import Max, Min, Sum
 
-    if alias_map is not None:
-        from corenlp_ray.pipelines.registry import _ncpus
-
-        ref = ray.put(alias_map)
-        ncpus = _ncpus()
-        # resolve + combine fused into one actor-pool pass
-        partial = triples_ds.map_batches(
-            ResolveAliases, batch_format="pyarrow",
-            concurrency=max(1, min(ncpus - 1, ncpus // 8 + 1)),
-            fn_constructor_args=(ref, True))
-    else:
-        partial = triples_ds.map_batches(_triple_partial_agg,
-                                         batch_format="pyarrow")
+    combine = _triple_partial_agg if alias_map is None \
+        else ResolveAliases(ray.put(alias_map))
+    partial = triples_ds.map_batches(combine, batch_format="pyarrow")
     merged = partial.groupby(["subj", "pred", "obj"]).aggregate(
         Max("confidence", alias_name="confidence"),
         Sum("support_count", alias_name="support_count"),

@@ -128,11 +128,11 @@ def test_alias_scale_join_path_matches_broadcast(ray_session):
     alias, same_ds = resolve_alias_scale(ds, vocab_broadcast_max=10**9)
     assert alias is not None and same_ds is ds
     import ray as _ray
-    resolver = ResolveAliases(_ray.put(alias), combine=False)
+    resolver = ResolveAliases(_ray.put(alias))
     want = []
     for b in ds.to_arrow_refs():
         t = _ray.get(b)
-        out = resolver(t)
+        out = resolver.resolve(t)
         want += list(zip(out.column("url").to_pylist(),
                          out.column("subj_canonical").to_pylist(),
                          out.column("obj_canonical").to_pylist()))
@@ -150,3 +150,101 @@ def test_alias_scale_join_path_matches_broadcast(ray_session):
     cols = set(resolved.schema().names)
     assert {"url", "subj_canonical", "pred", "obj_canonical",
             "confidence"} <= cols
+
+
+@pytest.mark.parametrize("vocab_broadcast_max", [10**9, 0],
+                         ids=["broadcast", "join"])
+def test_canonical_tie_break_both_regimes(ray_session, vocab_broadcast_max):
+    """Equal support → the lexicographically smallest surface, in the
+    driver-dict regime and in the distributed join regime alike; null
+    and empty surfaces never enter the alias vocabulary."""
+    import ray.data as rd
+
+    from corenlp_ray.stages.canonicalize import (_alias_totals,
+                                                 resolve_alias_scale)
+
+    pairs = [("Ibm", "Acme"), ("IBM", "ACME"), ("IBM", ""), ("Ibm", None),
+             (None, "acme"), ("", "Acme")]
+    rows = [{"url": f"u{i}", "subj_canonical": s, "pred": "x",
+             "obj_canonical": o, "confidence": 1.0}
+            for i, (s, o) in enumerate(pairs)]
+    ds = rd.from_items(rows)
+    # "IBM"/"Ibm" tie at 2; "Acme" (2) beats "ACME" and "acme" (1 each)
+    vocab = _alias_totals(ds).to_pandas()
+    assert sorted(vocab["surface"]) == ["ACME", "Acme", "IBM", "Ibm", "acme"]
+
+    alias, resolved = resolve_alias_scale(
+        ds, vocab_broadcast_max=vocab_broadcast_max)
+    if vocab_broadcast_max:
+        assert alias == {"ibm": "IBM", "acme": "Acme"}
+    else:
+        assert alias is None
+        got = {r["url"]: (r["subj_canonical"], r["obj_canonical"])
+               for r in resolved.take_all()}
+        assert got == {"u0": ("IBM", "Acme"), "u1": ("IBM", "Acme"),
+                       "u2": ("IBM", ""), "u3": ("IBM", None),
+                       "u4": (None, "Acme"), "u5": ("", "Acme")}
+
+
+_ONE_CPU_KG = """
+import json, signal, sys
+import ray, ray.data as rd
+
+
+def _timeout(*_):
+    raise TimeoutError("1-CPU KG did not finish")
+
+
+signal.signal(signal.SIGALRM, _timeout)
+signal.alarm(int(sys.argv[1]))
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False)
+try:
+    rd.DataContext.get_current().enable_progress_bars = False
+    from corenlp_ray.pipelines.kg import kg_pipeline
+    from corenlp_ray.sources.pages import synth_pages_table
+
+    tbl = synth_pages_table(n=12, seed=21)
+    rows = {}
+    for distributed in (False, True):
+        kg = kg_pipeline(rd.from_arrow(tbl).repartition(4), num_buckets=4,
+                         distributed=distributed)
+        rows[distributed] = sorted(
+            json.dumps(r, sort_keys=True) for r in kg.take_all())
+    print(json.dumps({"n": len(rows[False]),
+                      "equal": rows[True] == rows[False]}))
+finally:
+    signal.alarm(0)
+    ray.shutdown()
+"""
+
+
+def test_one_cpu_kg_finishes(tmp_path):
+    """On a 1-CPU cluster the distributed KG pipeline finishes and equals
+    the in-process result. A separate driver process with its own 1-CPU
+    cluster, bounded twice: an in-process alarm that shuts Ray down, and
+    a kill of the whole process group as the backstop."""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    script = tmp_path / "one_cpu_kg.py"
+    script.write_text(_ONE_CPU_KG)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, str(script), "90"], env=env,
+                            cwd=root, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=150)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("1-CPU KG driver hung past its own alarm")
+    assert proc.returncode == 0, err[-2000:]
+    res = json.loads(out.strip().splitlines()[-1])
+    assert res["n"] > 0 and res["equal"]

@@ -11,6 +11,8 @@ reduction, (b) result exactness vs a driver-side reference computation,
 and (c) determinism across batch splits (the salted phases must not
 change answers when parallelism changes).
 """
+from collections import Counter
+
 import pandas as pd
 import pyarrow as pa
 import pytest
@@ -117,6 +119,62 @@ def test_triple_partial_agg_bounds_hot_key():
     hot = out.to_pandas().query("subj == 'Barack Obama'")
     assert len(hot) == 1
     assert int(hot["support_count"].iloc[0]) == N_HOT - N_HOT // 3
+
+
+def _fold_triples(rows):
+    """Reference dedup fold: (s,p,o) → [max conf, rows, min url]."""
+    acc = {}
+    for r in rows:
+        key = (r["subj_canonical"], r["pred"], r["obj_canonical"])
+        a = acc.setdefault(key, [r["confidence"], 0, r["url"]])
+        a[0] = max(a[0], r["confidence"])
+        a[1] += 1
+        a[2] = min(a[2], r["url"])
+    return Counter(k + tuple(a) for k, a in acc.items())
+
+
+def _fold_surfaces(rows):
+    """Reference surface count: (norm, surface) → occurrences."""
+    acc = {}
+    for r in rows:
+        for s in (r["subj_canonical"], r["obj_canonical"]):
+            if s and normalize_surface(s):
+                key = (normalize_surface(s), s)
+                acc[key] = acc.get(key, 0) + 1
+    return Counter(k + (n,) for k, n in acc.items())
+
+
+_TRIPLE_TYPES = pa.schema([
+    ("url", pa.string()), ("subj_canonical", pa.string()),
+    ("pred", pa.string()), ("obj_canonical", pa.string()),
+    ("confidence", pa.float64()),
+])
+
+
+def _row(url, s, o, conf, p="per:employee_of"):
+    return {"url": url, "subj_canonical": s, "pred": p,
+            "obj_canonical": o, "confidence": conf}
+
+
+@pytest.mark.parametrize("rows", [
+    [_row("u3", "Ann Lee", "Initech", 0.5),
+     _row("u1", "Ann Lee", "Initech", 0.9),
+     _row("u2", "Ann Lee", "Initech", 0.7),
+     _row("u0", "Ann Lee", "Initech", 0.6, p="per:spouse"),
+     _row("u4", "the Ann Lee", "Dr. Ann Lee", 0.4)],
+    [_row("u2", "Ann Lee", None, 0.3), _row("u1", "Ann Lee", None, 0.8),
+     _row("u0", "Ann Lee", "", 0.1), _row("u5", "", "Initech", 0.2),
+     _row("u6", "The", "Initech", 0.2)],
+    [],
+], ids=["duplicate_keys", "null_and_empty_obj", "empty_batch"])
+def test_arrow_combiners_equal_plain_fold(rows):
+    t = pa.Table.from_pylist(rows, schema=_TRIPLE_TYPES)
+    got = _triple_partial_agg(t)
+    assert Counter(tuple(r.values()) for r in got.to_pylist()) \
+        == _fold_triples(rows)
+    got = _surface_partial_counts(t)
+    assert Counter(tuple(r.values()) for r in got.to_pylist()) \
+        == _fold_surfaces(rows)
 
 
 def test_bucketed_join_pathological_skew(ray_session):

@@ -34,6 +34,7 @@ Adds columns (aligned with men_*):
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Tuple
 
 import pyarrow as pa
@@ -202,6 +203,7 @@ def resolve_coref(
         # third-person pronominal mentions join their antecedent's
         # cluster (PronounMatch over the full mention list — nominal
         # antecedents allowed for neutral/plural pronouns)
+        before = _antecedent_window(men, tok_sent)
         for i in range(nm):
             if men[i][2] != "PRONOMINAL":
                 continue
@@ -220,13 +222,9 @@ def resolve_coref(
             else:
                 continue
             best = -1
-            for j in range(nm):
-                b, e, t, _ = men[j]
-                if e > k:
-                    break
-                if j == i or men[j][2] == "PRONOMINAL":
-                    continue
-                if tok_sent[k] - tok_sent[b] > 2:
+            for j in before(k):
+                _, e, t, _ = men[j]
+                if j == i or t == "PRONOMINAL":
                     continue
                 if want == "PERSON":
                     if t != "PERSON":
@@ -244,6 +242,7 @@ def resolve_coref(
                             or (t == "NOMINAL" and tags[e - 1] == "NNS")):
                         continue
                 best = j
+                break
             if best >= 0:
                 uf.union(best, i)
 
@@ -279,19 +278,38 @@ def resolve_coref(
             toks = toks[:-1]
         return toks[-1] if toks else ""
 
-    heads = {i: head_of(i) for i in entity_like}
+    # a mention's head and word set depend only on its surface
+    s_head: Dict[str, str] = {}
+    s_words: Dict[str, frozenset] = {}
+    for i in entity_like:
+        if surfaces[i] not in s_head:
+            s_head[surfaces[i]] = head_of(i)
+            s_words[surfaces[i]] = frozenset(surfaces[i].lower().split())
+    heads = {i: s_head[surfaces[i]] for i in entity_like}
 
-    # Incremental root→{members, words, heads} maps, updated on each
-    # union — the naive per-check rescan of entity_like made the O(m²)
-    # pair loop O(m³) on mention-heavy docs (round-3 ADVICE).
-    _members: Dict[int, List[int]] = {}
+    # Blocking indexes (token blocking: a head sieve only ever accepts an
+    # antecedent cluster that holds i's head among its heads, or for
+    # RelaxedHeadMatch among its words). Per root: its words, heads,
+    # distinct surfaces and earliest member of each mention type; and
+    # the inverted indexes head → roots and word → roots. All are
+    # updated on each union, so a sieve looks up its candidate clusters
+    # instead of scanning every earlier mention.
     _cwords: Dict[int, set] = {}
     _cheads: Dict[int, set] = {}
+    _csurf: Dict[int, set] = {}
+    _first: Dict[int, Dict[str, int]] = {}
     for i in entity_like:
         r = uf.find(i)
-        _members.setdefault(r, []).append(i)
-        _cwords.setdefault(r, set()).update(surfaces[i].lower().split())
+        _cwords.setdefault(r, set()).update(s_words[surfaces[i]])
         _cheads.setdefault(r, set()).add(heads[i])
+        _csurf.setdefault(r, set()).add(surfaces[i])
+        _first.setdefault(r, {}).setdefault(men[i][2], i)
+    _by_head: Dict[str, set] = {}
+    _by_word: Dict[str, set] = {}
+    for index, per_root in ((_by_head, _cheads), (_by_word, _cwords)):
+        for r, keys in per_root.items():
+            for key in keys:
+                index.setdefault(key, set()).add(r)
 
     def union_tracked(a: int, b: int) -> None:
         ra, rb = uf.find(a), uf.find(b)
@@ -300,18 +318,20 @@ def resolve_coref(
         uf.union(ra, rb)
         r = uf.find(ra)
         o = rb if r == ra else ra
-        _members[r].extend(_members.pop(o, []))
-        _cwords[r].update(_cwords.pop(o, set()))
-        _cheads[r].update(_cheads.pop(o, set()))
-
-    def cluster_members(i: int) -> List[int]:
-        return _members.get(uf.find(i), [i])
+        for index, per_root in ((_by_head, _cheads), (_by_word, _cwords)):
+            keys = per_root.pop(o)
+            for key in keys:
+                index[key].discard(o)
+                index[key].add(r)
+            per_root[r] |= keys
+        _csurf[r] |= _csurf.pop(o)
+        first = _first[r]
+        for t, j in _first.pop(o).items():
+            if j < first.get(t, j + 1):
+                first[t] = j
 
     def cluster_words(i: int) -> set:
         return _cwords.get(uf.find(i), set())
-
-    def cluster_heads(i: int) -> set:
-        return _cheads.get(uf.find(i), set())
 
     def words_included(i: int, j: int) -> bool:
         """All of cluster(i)'s non-stop words (minus i's head) appear in
@@ -321,45 +341,43 @@ def resolve_coref(
 
     def compatible_modifiers(i: int, j: int) -> bool:
         """No incompatible modifier: i's non-head content words all
-        appear in j's mention words (per-mention pairwise, Rules:399)."""
-        for mi in cluster_members(i):
-            mods = {w for w in surfaces[mi].lower().split()
-                    if w not in _excl and w != heads[i]}
-            for mj in cluster_members(j):
-                if heads.get(mj) != heads[i]:
-                    continue
-                ant_words = set(surfaces[mj].lower().split())
-                if not (mods <= ant_words):
-                    return False
-        return True
+        appear in j's mention words (per-mention pairwise, Rules:399),
+        taken over the clusters' distinct surfaces."""
+        h = heads[i]
+        ants = [s_words[s] for s in _csurf[uf.find(j)] if s_head[s] == h]
+        return all(s_words[s] - _excl - {h} <= ant
+                   for s in _csurf[uf.find(i)] for ant in ants)
 
-    def type_ok(i: int, j: int) -> bool:
-        return men[i][2] == men[j][2]
-
-    def run_head_sieve(check) -> None:
+    def run_head_sieve(index: Dict[str, set], check) -> None:
+        """For each i, union with the smallest earlier same-type j whose
+        cluster passes ``check``. ``check`` sees j only through j's
+        cluster, so the smallest such j is the earliest member of i's
+        type in one of the clusters ``index`` lists under i's head;
+        testing those in ascending order finds the same j as a scan of
+        every earlier mention, and the unions happen in the same
+        order."""
         for i in entity_like:
-            if not heads[i]:
+            h = heads[i]
+            if not h:
                 continue
-            for j in entity_like:
-                if j >= i or uf.find(i) == uf.find(j):
-                    continue
-                if type_ok(i, j) and check(i, j):
+            ri, t = uf.find(i), men[i][2]
+            firsts = (_first[r].get(t, i) for r in index.get(h, ())
+                      if r != ri)
+            for j in sorted(j for j in firsts if j < i):
+                if check(i, j):
                     union_tracked(j, i)
                     break
 
     # StrictHeadMatch1: heads agree + word inclusion + compatible mods
-    run_head_sieve(lambda i, j: heads[i] in cluster_heads(j)
-                   and words_included(i, j) and compatible_modifiers(i, j))
-    # StrictHeadMatch2: heads agree + word inclusion
-    run_head_sieve(lambda i, j: heads[i] in cluster_heads(j)
-                   and words_included(i, j))
-    # StrictHeadMatch3: heads agree + compatible modifiers
-    run_head_sieve(lambda i, j: heads[i] in cluster_heads(j)
+    run_head_sieve(_by_head, lambda i, j: words_included(i, j)
                    and compatible_modifiers(i, j))
+    # StrictHeadMatch2: heads agree + word inclusion
+    run_head_sieve(_by_head, words_included)
+    # StrictHeadMatch3: heads agree + compatible modifiers
+    run_head_sieve(_by_head, compatible_modifiers)
     # RelaxedHeadMatch: mention head ∈ antecedent cluster words + word
     # inclusion ("Sanders" → cluster of "Bernard Sanders")
-    run_head_sieve(lambda i, j: heads[i] in cluster_words(j)
-                   and words_included(i, j))
+    run_head_sieve(_by_word, words_included)
 
     # Sieve 4b: acronym match (the AcronymMatcher pass,
     # util/AcronymMatcher.java:17 — +20% KBP recall per the reference's
@@ -387,13 +405,45 @@ def resolve_coref(
                              pron_idx, pron_canon_mention)
 
 
+def _antecedent_window(men, tok_sent):
+    """Antecedent candidates for a pronoun at token ``k``, nearest first.
+
+    ``before(k)`` yields, in descending order, the indices ``i`` of the
+    mentions ahead of the first mention that ends after ``k`` and that
+    start within two sentences of ``k`` — the set an ascending scan
+    that breaks at the first ``end > k`` would accept, so the first hit
+    of a backward scan is that scan's last hit. A prefix maximum of the
+    mention ends finds the cut by bisection, and a prefix maximum of
+    the mentions' sentence ids stops the backward scan where no earlier
+    mention can be close enough; both hold for unsorted mentions too,
+    and the cost per pronoun is the mentions of its window."""
+    end_max: List[int] = []
+    for m in men:
+        end_max.append(max(end_max[-1], m[1]) if end_max else m[1])
+    sent_max: List[int] = []   # filled lazily, up to the largest cut
+
+    def before(k: int):
+        cut = bisect_right(end_max, k)
+        while len(sent_max) < cut:
+            s = tok_sent[men[len(sent_max)][0]]
+            sent_max.append(max(sent_max[-1], s) if sent_max else s)
+        lo = tok_sent[k] - 2
+        for i in range(cut - 1, -1, -1):
+            if sent_max[i] < lo:
+                return
+            if tok_sent[men[i][0]] >= lo:
+                yield i
+
+    return before
+
+
 def resolve_pronouns(words, tags, tok_sent, men, surfaces):
     """The deterministic PronounMatch sieve (shared by the sieve system
     and the statistical ranker, which ranks only entity mentions —
     matching the reference, whose statistical algorithm also keeps a
     rule-based pronoun component in the anaphoricity/ranking split).
     Returns (pron_idx, antecedent mention index per pronoun)."""
-    nm = len(men)
+    before = _antecedent_window(men, tok_sent)
     pron_idx: List[int] = []
     pron_canon_mention: List[int] = []
     for k in range(len(words)):
@@ -411,12 +461,8 @@ def resolve_pronouns(words, tags, tok_sent, men, surfaces):
         else:
             continue
         best = -1
-        for i in range(nm):
-            b, e, t, _ = men[i]
-            if e > k:
-                break
-            if tok_sent[k] - tok_sent[b] > 2:  # antecedent within 2 sentences
-                continue
+        for i in before(k):   # antecedent within 2 sentences
+            t = men[i][2]
             if want[0] == "PERSON":
                 if t != "PERSON":
                     continue
@@ -430,6 +476,7 @@ def resolve_pronouns(words, tags, tok_sent, men, surfaces):
                 if t not in ("ORGANIZATION", "PERSON"):
                     continue
             best = i
+            break
         if best >= 0:
             pron_idx.append(k)
             pron_canon_mention.append(best)

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 import pyarrow as pa
 
 from corenlp_ray.functions.tokenpattern import toks_of
-from corenlp_ray.stages.openie import TRIPLES_SCHEMA
+from corenlp_ray.stages.openie import TRIPLES_SCHEMA, sentence_buckets
 
 _TITLE_NOUNS = {
     "officer", "ceo", "president", "director", "chairman", "chairwoman",
@@ -807,17 +807,18 @@ class KbpExtractor:
             words, tags = cols["tok_word"][r], cols["tok_pos"][r]
             lemmas = cols["tok_lemma"][r]
             heads, labels = cols["dep_head"][r], cols["dep_label"][r]
+            sb, se = cols["sent_begin"][r], cols["sent_end"][r]
             pron = dict(zip(cols["pron_idx"][r], cols["pron_canonical"][r]))
-            mens = [Mention(b, e, t, nv, cv) for b, e, t, nv, cv in zip(
+            men_s = sentence_buckets(sb, se, zip(
                 cols["men_begin"][r], cols["men_end"][r], cols["men_ner"][r],
-                cols["men_norm"][r], cols["men_canonical"][r])]
-            for si, (b, e) in enumerate(zip(cols["sent_begin"][r],
-                                            cols["sent_end"][r])):
+                cols["men_norm"][r], cols["men_canonical"][r]))
+            pron_s = sentence_buckets(sb, se, [(k, k + 1, v)
+                                               for k, v in pron.items()])
+            for si, (b, e) in enumerate(zip(sb, se)):
                 l_heads = [(h - b) if h >= 0 else -1 for h in heads[b:e]]
-                l_mens = [Mention(m.b - b, m.e - b, m.type, m.norm,
-                                  m.canonical)
-                          for m in mens if b <= m.b and m.e <= e]
-                l_pron = {k - b: v for k, v in pron.items() if b <= k < e}
+                l_mens = [Mention(mb - b, me - b, t, nv, cv)
+                          for mb, me, t, nv, cv in men_s[si]]
+                l_pron = {k - b: v for k, _, v in pron_s[si]}
                 # ensemble order (KBPEnsembleExtractor.java:45-67):
                 # tokensregex surface banks first, then the dep-rule
                 # banks, then the statistical extractor on pairs no

@@ -29,7 +29,8 @@ This stage EXPLODES docs → one row per triple:
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import pyarrow as pa
 
@@ -731,6 +732,24 @@ def extract_sentence_triples(
     return uniq
 
 
+def sentence_buckets(sent_begin: List[int], sent_end: List[int],
+                     spans: Iterable[tuple]) -> List[List[tuple]]:
+    """``spans`` (tuples that start with token ``begin, end``) grouped
+    per sentence: a span goes to every sentence ``(b, e)`` with
+    ``b <= begin`` and ``end <= e``, and each group keeps the order of
+    ``spans``. Sentences come in document order (begins and ends
+    nondecreasing), so a bisection on the begins finds the last
+    sentence that can hold a span, and the walk back over earlier
+    sentences stops at the first one that ends too soon."""
+    out: List[List[tuple]] = [[] for _ in sent_begin]
+    for span in spans:
+        si = bisect_right(sent_begin, span[0]) - 1
+        while si >= 0 and span[1] <= sent_end[si]:
+            out[si].append(span)
+            si -= 1
+    return out
+
+
 def openie_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
     """map_batches stage: docs → triples rows (source='openie').
 
@@ -751,19 +770,20 @@ def openie_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
         words, tags = cols["tok_word"][r], cols["tok_pos"][r]
         lemmas = cols["tok_lemma"][r]
         heads, labels = cols["dep_head"][r], cols["dep_label"][r]
+        sb, se = cols["sent_begin"][r], cols["sent_end"][r]
         pron = dict(zip(cols["pron_idx"][r], cols["pron_canonical"][r]))
-        mens = list(zip(cols["men_begin"][r], cols["men_end"][r],
-                        cols["men_ner"][r]))
-        for si, (b, e) in enumerate(zip(cols["sent_begin"][r],
-                                        cols["sent_end"][r])):
+        men_s = sentence_buckets(sb, se, zip(
+            cols["men_begin"][r], cols["men_end"][r], cols["men_ner"][r]))
+        pron_s = sentence_buckets(sb, se, [(k, k + 1, v)
+                                           for k, v in pron.items()])
+        for si, (b, e) in enumerate(zip(sb, se)):
             l_words = words[b:e]
             l_tags = tags[b:e]
             l_lemmas = lemmas[b:e]
             l_heads = [(h - b) if h >= 0 else -1 for h in heads[b:e]]
             l_labels = labels[b:e]
-            l_mens = [(mb - b, me - b, t) for mb, me, t in mens
-                      if b <= mb and me <= e]
-            l_pron = {k - b: v for k, v in pron.items() if b <= k < e}
+            l_mens = [(mb - b, me - b, t) for mb, me, t in men_s[si]]
+            l_pron = {k - b: v for k, _, v in pron_s[si]}
             for (s, p, o, sc, oc, sn, on, conf) in extract_sentence_triples(
                     l_words, l_tags, l_lemmas, l_heads, l_labels,
                     l_mens, l_pron):

@@ -163,14 +163,13 @@ def _distill_sentences(sf_dir: str, limit: int):
 
 
 def _distill_kbp_sentences(sf_dir: str, limit: int):
-    """Fully annotated sentences (words, tags, lemmas, heads, labels,
-    ners, mentions) for KbpClassifier.distill — runs the same kernels
-    the KbpExtractor stage sees, via the simple API."""
+    """Fully annotated sentences for KbpClassifier.distill — the same
+    kernels the KbpExtractor stage sees, via the simple API."""
     import pyarrow.parquet as pq
 
     from corenlp_ray.api import Document
+    from corenlp_ray.models.kbp_classifier import annotated_sentences
     from corenlp_ray.sources.pages import make_page
-    from corenlp_ray.stages.kbp import Mention
 
     t = pq.read_table(f"{sf_dir}/documents.parquet",
                       columns=["doc_id", "text"]).slice(0, limit)
@@ -182,21 +181,7 @@ def _distill_kbp_sentences(sf_dir: str, limit: int):
         text = make_page(int(doc_id), filler=filler or "")["text"]
         doc = Document(text or "")
         doc._need(*Document._transitive("kbp"))
-        r = doc._row
-        mens = [Mention(b, e, ty, nv, cv) for b, e, ty, nv, cv in zip(
-            r["men_begin"], r["men_end"], r["men_ner"], r["men_norm"],
-            r["men_canonical"])]
-        for b, e in zip(r["sent_begin"], r["sent_end"]):
-            heads = [(h - b) if h >= 0 else -1 for h in r["dep_head"][b:e]]
-            l_mens = [Mention(m.b - b, m.e - b, m.type, m.norm, m.canonical)
-                      for m in mens if b <= m.b and m.e <= e]
-            ners = ["O"] * (e - b)
-            for m in l_mens:
-                for k in range(m.b, min(m.e, e - b)):
-                    ners[k] = m.type
-            out.append((r["tok_word"][b:e], r["tok_pos"][b:e],
-                        r["tok_lemma"][b:e], heads,
-                        r["dep_label"][b:e], ners, l_mens))
+        out.extend(annotated_sentences(doc._row))
     return out
 
 

@@ -20,11 +20,11 @@ def distill_and_register(tmpdir: str) -> None:
     its accuracy."""
     from corenlp_ray.api import Document
     from corenlp_ray.models.coref_ranker import CorefRanker
-    from corenlp_ray.models.kbp_classifier import KbpClassifier
+    from corenlp_ray.models.kbp_classifier import (KbpClassifier,
+                                                   annotated_sentences)
     from corenlp_ray.models.perceptron_tagger import PerceptronTagger
     from corenlp_ray.models.transition_parser import TransitionParser
     from corenlp_ray.pipelines.kg import register_weighted_models
-    from corenlp_ray.stages.kbp import Mention
 
     docs = [
         "John Smith works for Acme Corp. He leads Acme Corp.",
@@ -49,22 +49,9 @@ def distill_and_register(tmpdir: str) -> None:
                        r["men_norm"]))
         coref_docs.append((r["tok_word"], r["tok_pos"], r["tok_sent"],
                            men))
-        mens = [Mention(b, e, ty, nv, cv) for b, e, ty, nv, cv in zip(
-            r["men_begin"], r["men_end"], r["men_ner"], r["men_norm"],
-            r["men_canonical"])]
-        ners = ["O"] * len(r["tok_word"])
-        for m in mens:
-            for k in range(m.b, min(m.e, len(ners))):
-                ners[k] = m.type
+        kbp_sents.extend(annotated_sentences(r))
         for b, e in zip(r["sent_begin"], r["sent_end"]):
             sents.append((r["tok_word"][b:e], r["tok_pos"][b:e]))
-            heads = [(h - b) if h >= 0 else -1 for h in r["dep_head"][b:e]]
-            l_mens = [Mention(m.b - b, m.e - b, m.type, m.norm,
-                              m.canonical)
-                      for m in mens if b <= m.b and m.e <= e]
-            kbp_sents.append((r["tok_word"][b:e], r["tok_pos"][b:e],
-                              r["tok_lemma"][b:e], heads,
-                              r["dep_label"][b:e], ners[b:e], l_mens))
     from corenlp_ray.models.crf_ner import CrfNER
     from corenlp_ray.models.pcfg_parser import PcfgParser
     from corenlp_ray.models.relation_classifier import RelationClassifier

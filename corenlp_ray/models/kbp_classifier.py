@@ -298,6 +298,26 @@ class KbpClassifier:
             return cls(weights=json.load(fh)["weights"])
 
 
+def annotated_sentences(row: dict) -> List[tuple]:
+    """``distill``'s input from one annotated document row (column name
+    → pylist): per sentence (words, tags, lemmas, heads, labels, ners,
+    mentions), sentence-local as ``KbpExtractor`` sees them."""
+    from corenlp_ray.stages.kbp import MENTION_FIELDS, Mention
+    from corenlp_ray.stages.openie import sentence_views
+
+    out = []
+    for _, b, e, heads, mens, _ in sentence_views(row, MENTION_FIELDS):
+        mens = [Mention(*m) for m in mens]
+        ners = ["O"] * (e - b)
+        for m in mens:
+            for k in range(m.b, min(m.e, e - b)):
+                ners[k] = m.type
+        out.append((row["tok_word"][b:e], row["tok_pos"][b:e],
+                    row["tok_lemma"][b:e], heads, row["dep_label"][b:e],
+                    ners, mens))
+    return out
+
+
 def candidate_pairs(words, tags, lemmas, heads, labels, ners, mentions):
     """(subj Mention, obj Mention, features) for every typed pair a KBP
     relation could hold over — subject PERSON/ORGANIZATION, object any

@@ -34,7 +34,7 @@ from corenlp_ray.stages.extract import extract_text_batch
 from corenlp_ray.stages.kbp import KbpExtractor
 from corenlp_ray.stages.lemma import lemma_batch
 from corenlp_ray.stages.ner import NerTagger
-from corenlp_ray.stages.openie import openie_batch
+from corenlp_ray.stages.openie import TRIPLE_COLUMNS, openie_batch
 from corenlp_ray.stages.pos import PosTagger
 from corenlp_ray.stages.relation import RELATION_COLUMNS, RelationExtractor
 from corenlp_ray.stages.tokenize import tokenize_ssplit_batch
@@ -92,11 +92,6 @@ from corenlp_ray.stages.sentiment import sentiment_tree_batch  # noqa: E402
 register(Stage("sentiment_tree", ("parse_tree",),
                ("sent_sentiment_tree",), sentiment_tree_batch))
 
-# The annotation columns TripleExtractor reads besides the input ``url``.
-TRIPLE_COLUMNS = ("tok_word", "tok_pos", "tok_lemma", "sent_begin",
-                  "sent_end", "dep_head", "dep_label", "men_begin",
-                  "men_end", "men_ner", "men_norm", "men_canonical",
-                  "pron_idx", "pron_canonical")
 # A triple producer's prerequisites: the columns its extractor reads.
 PRODUCER_COLUMNS = {"openie": TRIPLE_COLUMNS, "kbp": TRIPLE_COLUMNS,
                     "relation": RELATION_COLUMNS}
@@ -157,7 +152,8 @@ class TripleExtractor:
     (a union of two branches would re-execute the whole upstream
     annotation chain once per branch — the lazy-Dataset double-consume
     trap). A chain's last stage: the KBP pattern banks bind once per
-    chain."""
+    chain. Both kernels read the ``TRIPLE_COLUMNS`` through one pylist
+    cache, so each column is converted from Arrow once."""
 
     def __init__(self, kbp_classifier_path=None):
         self.kbp = KbpExtractor(classifier_path=kbp_classifier_path
@@ -166,17 +162,11 @@ class TripleExtractor:
     def __call__(self, batch, cols=None):
         import pyarrow as pa
 
-        # ONE Arrow→pylist conversion shared by both extractors (the
-        # two kernels read the same 15 wide list columns; converting
-        # twice was ~19% of this stage's wall time). When the fused
-        # chain threads its pylist cache (stages/_cache.py), upstream
-        # stages have already deposited most of these.
-        from corenlp_ray.stages._cache import col
-
-        shared = {name: col(batch, name, cols)
-                  for name in ("url",) + TRIPLE_COLUMNS}
-        return pa.concat_tables([openie_batch(batch, cols=shared),
-                                 self.kbp(batch, cols=shared)])
+        # the chain's cache (stages/_cache.py) already holds most of the
+        # columns; the first kernel deposits the rest for the second
+        cols = {} if cols is None else cols
+        return pa.concat_tables([openie_batch(batch, cols=cols),
+                                 self.kbp(batch, cols=cols)])
 
 
 def triples_stage() -> Stage:

@@ -23,6 +23,7 @@ Adds columns: dep_head list<int32>, dep_label list<string>.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import List, Tuple
 
 import pyarrow as pa
@@ -172,6 +173,8 @@ def parse_sentence(words: List[str], tags: List[str]) -> Tuple[List[int], List[s
                 chunk_head[m] = k
 
     heads_of_chunks = [h for _, _, h in chunks]
+    chunk_begin = [b for b, _, _ in chunks]
+    chunk_end = {h: e for _, e, h in chunks}
 
     # ---- possessives: NP 's NP → possessor nmod:poss of possessed ----
     for ci in range(len(chunks) - 1):
@@ -391,7 +394,7 @@ def parse_sentence(words: List[str], tags: List[str]) -> Tuple[List[int], List[s
                 # measure-phrase predicate: "is 65 years old" — the JJ
                 # after the noun chunk is the real predicate, the chunk
                 # its nominal modifier
-                ce = next((e for b, e, h in chunks if h == pred), -1)
+                ce = chunk_end.get(pred, -1)
                 if ce >= 0 and ce < n and tags[ce] == "JJ" and \
                         (ce + 1 >= n or tags[ce + 1] in _PUNCT):
                     attach(pred, ce, "obl:npmod")
@@ -688,12 +691,12 @@ def parse_sentence(words: List[str], tags: List[str]) -> Tuple[List[int], List[s
 
     # ---- conj between verbs: later main verbs conj of root; across a
     # semicolon the clauses are parataxis, not coordination ----
+    semis = [k for k, w in enumerate(words) if w == ";"]
     for v in main_verbs[1:]:
         if v not in relcl_verbs:
             lab = "conj"
-            if root >= 0 and any(words[m] == ";"
-                                 for m in range(min(root, v),
-                                                max(root, v))):
+            if root >= 0 and bisect_left(semis, min(root, v)) < \
+                    bisect_left(semis, max(root, v)):
                 lab = "parataxis"
             attach(v, root, lab)
 
@@ -702,7 +705,6 @@ def parse_sentence(words: List[str], tags: List[str]) -> Tuple[List[int], List[s
     # (UD convention) and later conjuncts attach conj to it. A bare
     # comma without an eventual CC is an appositive, not a list — the
     # chain only attaches when it ends in a coordinator.
-    chunk_end = {h: e for _, e, h in chunks}
     for ci in range(len(chunks)):
         b, e, first = chunks[ci]
         if heads[first] != -2:
@@ -739,37 +741,58 @@ def parse_sentence(words: List[str], tags: List[str]) -> Tuple[List[int], List[s
         attach(h, prev_h, "appos")
 
     # ---- core arguments per main verb ----
+    # subject candidates: unattached chunk heads and the root. Heads are
+    # never detached, so ``skip`` jumps over attached chunks for good.
+    skip = list(range(-1, len(chunks) - 1))
+
+    def candidate_at_or_before(ci):
+        path = []
+        while ci >= 0 and heads[heads_of_chunks[ci]] != -2 \
+                and heads_of_chunks[ci] != root:
+            path.append(ci)
+            ci = skip[ci]
+        for p in path:
+            skip[p] = ci
+        return ci
+
+    # this loop only attaches, so the subject and passive tests read
+    # indexes built once here and extended by its own nsubj arcs
+    subjects: dict = {}   # head → its nsubj / nsubj:pass children
+    for k in range(n):
+        if labels[k] in ("nsubj", "nsubj:pass"):
+            subjects.setdefault(heads[k], []).append(k)
+    passives = {heads[k] for k in range(n) if labels[k] == "aux:pass"}
+
     for vi, v in enumerate(main_verbs):
-        passive = any(heads[k] == v and labels[k] == "aux:pass" for k in range(n))
-        has_subj = any(heads[k] == v and labels[k] in ("nsubj", "nsubj:pass")
-                       for k in range(n))
+        passive = v in passives
+        has_subj = v in subjects
         # subject: nearest chunk head before v not already attached to a
         # verb; a nominal candidate beats a bare number ("Brown, 45,
         # attended" → Brown, not 45)
         subj = -1
         if not has_subj:
             cd_fallback = -1
-            for h in reversed(heads_of_chunks):
-                if h < v and (heads[h] == -2 or h == root and v != root):
-                    if tags[h] == "DT":
-                        continue
-                    if tags[h] == "CD":
-                        if cd_fallback < 0:
-                            cd_fallback = h
-                        continue
-                    subj = h
-                    break
+            ci = bisect_left(heads_of_chunks, v) - 1
+            while (ci := candidate_at_or_before(ci)) >= 0:
+                h = heads_of_chunks[ci]
+                ci -= 1
+                if tags[h] == "DT":
+                    continue
+                if tags[h] == "CD":
+                    if cd_fallback < 0:
+                        cd_fallback = h
+                    continue
+                subj = h
+                break
             if subj < 0:
                 subj = cd_fallback
         if subj >= 0 and heads[subj] == -2 and labels[v] != "acl":
             # infinitival acl clauses modify their noun — no subject
             attach(subj, v, "nsubj:pass" if passive else "nsubj")
+            subjects.setdefault(v, []).append(subj)
         elif vi > 0 and subj == -1:
             # shared subject across conj verbs: copy root's nsubj
-            for k in range(n):
-                if heads[k] == root and labels[k] in ("nsubj", "nsubj:pass"):
-                    subj = k
-                    break
+            subj = min(subjects.get(root, ()), default=-1)
         # objects / obliques after v, up to next main verb.
         # nominal copular predicates ("doubt", "officer") take PPs but
         # never objects — only true verbs scavenge bare NPs
@@ -804,15 +827,12 @@ def parse_sentence(words: List[str], tags: List[str]) -> Tuple[List[int], List[s
                 break
             if t == "IN" or (t == "TO" and not (k + 1 < n and tags[k + 1] == "VB")):
                 # preposition introducing an oblique/nmod
-                ph = -1
-                for b, e, h in chunks:
-                    if b > k:
-                        ph = h
-                        break
+                ci = bisect_right(chunk_begin, k)
+                ph = chunks[ci][2] if ci < len(chunks) else -1
                 # a possessive complement heads at the POSSESSED noun:
                 # "of Sotheby 's Holdings Inc." → case(Inc., of)
                 while ph >= 0:
-                    pe = next((e for b, e, h in chunks if h == ph), -1)
+                    pe = chunk_end.get(ph, -1)
                     if pe >= 0 and pe < n and tags[pe] == "POS" \
                             and (pe + 1) in chunk_head:
                         ph = chunk_head[pe + 1]

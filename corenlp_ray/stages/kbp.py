@@ -39,7 +39,8 @@ from typing import Dict, List, Optional, Tuple
 import pyarrow as pa
 
 from corenlp_ray.functions.tokenpattern import toks_of
-from corenlp_ray.stages.openie import TRIPLES_SCHEMA, sentence_buckets
+from corenlp_ray.stages.openie import (TRIPLE_COLUMNS, TRIPLES_SCHEMA,
+                                       sentence_views)
 
 _TITLE_NOUNS = {
     "officer", "ceo", "president", "director", "chairman", "chairwoman",
@@ -192,6 +193,11 @@ class Mention:
     def __init__(self, b, e, type_, norm, canonical):
         self.b, self.e, self.type, self.norm = b, e, type_, norm
         self.canonical = canonical
+
+
+# the mention columns a ``Mention`` is built from, in argument order
+MENTION_FIELDS = ("men_begin", "men_end", "men_ner", "men_norm",
+                  "men_canonical")
 
 
 # --------------------------------------------- tokensregex surface bank ----
@@ -792,33 +798,20 @@ class KbpExtractor:
 
     def __call__(self, batch: pa.Table,
                  cols: dict | None = None) -> pa.Table:
-        # ``cols``: the chain's pylist cache (the fused TripleExtractor
-        # converts the Arrow batch ONCE for openie+kbp)
+        # ``cols``: the chain's pylist cache, shared with openie in the
+        # fused chain
         from corenlp_ray.stages._cache import col
 
-        cols = {name: col(batch, name, cols) for name in (
-            "url", "tok_word", "tok_pos", "tok_lemma", "sent_begin",
-            "sent_end", "dep_head", "dep_label", "men_begin",
-            "men_end", "men_ner", "men_norm", "men_canonical",
-            "pron_idx", "pron_canonical")}
+        cols = {name: col(batch, name, cols)
+                for name in ("url",) + TRIPLE_COLUMNS}
         rows: List[dict] = []
         for r in range(len(cols["url"])):
-            url = cols["url"][r]
-            words, tags = cols["tok_word"][r], cols["tok_pos"][r]
-            lemmas = cols["tok_lemma"][r]
-            heads, labels = cols["dep_head"][r], cols["dep_label"][r]
-            sb, se = cols["sent_begin"][r], cols["sent_end"][r]
-            pron = dict(zip(cols["pron_idx"][r], cols["pron_canonical"][r]))
-            men_s = sentence_buckets(sb, se, zip(
-                cols["men_begin"][r], cols["men_end"][r], cols["men_ner"][r],
-                cols["men_norm"][r], cols["men_canonical"][r]))
-            pron_s = sentence_buckets(sb, se, [(k, k + 1, v)
-                                               for k, v in pron.items()])
-            for si, (b, e) in enumerate(zip(sb, se)):
-                l_heads = [(h - b) if h >= 0 else -1 for h in heads[b:e]]
-                l_mens = [Mention(mb - b, me - b, t, nv, cv)
-                          for mb, me, t, nv, cv in men_s[si]]
-                l_pron = {k - b: v for k, _, v in pron_s[si]}
+            row = {name: v[r] for name, v in cols.items()}
+            words, tags = row["tok_word"], row["tok_pos"]
+            lemmas, labels = row["tok_lemma"], row["dep_label"]
+            for si, b, e, l_heads, l_mens, l_pron in sentence_views(
+                    row, MENTION_FIELDS):
+                l_mens = [Mention(*m) for m in l_mens]
                 # ensemble order (KBPEnsembleExtractor.java:45-67):
                 # tokensregex surface banks first, then the dep-rule
                 # banks, then the statistical extractor on pairs no
@@ -828,8 +821,7 @@ class KbpExtractor:
                 triples = triples + kbp_sentence(
                     words[b:e], tags[b:e], lemmas[b:e], l_heads,
                     labels[b:e], l_mens, l_pron, self.dep_rules)
-                if self.classifier is not None and len(words[b:e]) <= \
-                        KBP_MAXLEN:
+                if self.classifier is not None and e - b <= KBP_MAXLEN:
                     claimed = {(s, o) for (s, _, o, _, _, _) in triples}
                     triples = triples + self._classify_rest(
                         words[b:e], tags[b:e], lemmas[b:e], l_heads,
@@ -843,7 +835,7 @@ class KbpExtractor:
                     triples = list(best.values())
                 for (s, rel, o, sner, oner, conf) in triples:
                     rows.append({
-                        "url": url, "sent_idx": si, "subj": s, "pred": rel,
+                        "url": row["url"], "sent_idx": si, "subj": s, "pred": rel,
                         "obj": o, "subj_canonical": s, "obj_canonical": o,
                         "subj_ner": sner, "obj_ner": oner,
                         "confidence": conf, "source": "kbp"})

@@ -51,6 +51,12 @@ TRIPLES_SCHEMA = pa.schema([
     ("confidence", pa.float64()),
     ("source", pa.string()),
 ])
+# the annotation columns the triple extractors (openie and kbp) read
+# besides the input ``url``
+TRIPLE_COLUMNS = ("tok_word", "tok_pos", "tok_lemma", "sent_begin",
+                  "sent_end", "dep_head", "dep_label", "men_begin",
+                  "men_end", "men_ner", "men_norm", "men_canonical",
+                  "pron_idx", "pron_canonical")
 
 
 def _children(heads: List[int], labels: List[str]) -> Dict[int, List[Tuple[int, str]]]:
@@ -750,44 +756,46 @@ def sentence_buckets(sent_begin: List[int], sent_end: List[int],
     return out
 
 
+def sentence_views(row: dict, men_fields: Tuple[str, ...]):
+    """One document ``row`` (column name → pylist) as sentence-local
+    views, the stand-in for the reference's per-sentence ``CoreMap``:
+    ``(si, b, e, heads, mentions, pron)`` per sentence ``[b, e)``, with
+    heads relative to ``b`` (-1 = root), the mentions inside it as
+    tuples of the ``men_fields`` columns (begin and end first, relative
+    to ``b``, list order kept) and ``pron`` = {local token: canonical}.
+    Mentions and pronouns (optional columns) are bucketed once."""
+    sb, se, heads = row["sent_begin"], row["sent_end"], row["dep_head"]
+    men_s = sentence_buckets(sb, se, zip(*(row[f] for f in men_fields)))
+    pron = dict(zip(row.get("pron_idx", ()), row.get("pron_canonical", ())))
+    pron_s = sentence_buckets(sb, se, [(k, k + 1, v)
+                                       for k, v in pron.items()])
+    for si, (b, e) in enumerate(zip(sb, se)):
+        yield (si, b, e, [(h - b) if h >= 0 else -1 for h in heads[b:e]],
+               [(m[0] - b, m[1] - b) + m[2:] for m in men_s[si]],
+               {k - b: v for k, _, v in pron_s[si]})
+
+
 def openie_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
     """map_batches stage: docs → triples rows (source='openie').
 
-    Requires tok_*, dep_*, men_*, pron_* columns. Explodes rows; output
-    schema is TRIPLES_SCHEMA. Stateless, per-sentence parallel.
-    ``cols``: the chain's pylist cache (the fused TripleExtractor
-    converts the Arrow batch ONCE for openie + kbp)."""
+    Requires the ``TRIPLE_COLUMNS``. Explodes rows; output schema is
+    TRIPLES_SCHEMA. Stateless, per-sentence parallel. ``cols``: the
+    chain's pylist cache, shared with kbp in the fused chain."""
     from corenlp_ray.stages._cache import col
 
-    cols = {name: col(batch, name, cols) for name in (
-        "url", "tok_word", "tok_pos", "tok_lemma",
-        "sent_begin", "sent_end", "dep_head", "dep_label",
-        "men_begin", "men_end", "men_ner", "pron_idx",
-        "pron_canonical")}
+    cols = {name: col(batch, name, cols)
+            for name in ("url",) + TRIPLE_COLUMNS}
     rows: List[dict] = []
     for r in range(batch.num_rows):
-        url = cols["url"][r]
-        words, tags = cols["tok_word"][r], cols["tok_pos"][r]
-        lemmas = cols["tok_lemma"][r]
-        heads, labels = cols["dep_head"][r], cols["dep_label"][r]
-        sb, se = cols["sent_begin"][r], cols["sent_end"][r]
-        pron = dict(zip(cols["pron_idx"][r], cols["pron_canonical"][r]))
-        men_s = sentence_buckets(sb, se, zip(
-            cols["men_begin"][r], cols["men_end"][r], cols["men_ner"][r]))
-        pron_s = sentence_buckets(sb, se, [(k, k + 1, v)
-                                           for k, v in pron.items()])
-        for si, (b, e) in enumerate(zip(sb, se)):
-            l_words = words[b:e]
-            l_tags = tags[b:e]
-            l_lemmas = lemmas[b:e]
-            l_heads = [(h - b) if h >= 0 else -1 for h in heads[b:e]]
-            l_labels = labels[b:e]
-            l_mens = [(mb - b, me - b, t) for mb, me, t in men_s[si]]
-            l_pron = {k - b: v for k, _, v in pron_s[si]}
+        row = {name: v[r] for name, v in cols.items()}
+        words, tags = row["tok_word"], row["tok_pos"]
+        lemmas, labels = row["tok_lemma"], row["dep_label"]
+        for si, b, e, l_heads, l_mens, l_pron in sentence_views(
+                row, ("men_begin", "men_end", "men_ner")):
             for (s, p, o, sc, oc, sn, on, conf) in extract_sentence_triples(
-                    l_words, l_tags, l_lemmas, l_heads, l_labels,
-                    l_mens, l_pron):
-                rows.append({"url": url, "sent_idx": si, "subj": s,
+                    words[b:e], tags[b:e], lemmas[b:e], l_heads,
+                    labels[b:e], l_mens, l_pron):
+                rows.append({"url": row["url"], "sent_idx": si, "subj": s,
                              "pred": p, "obj": o, "subj_canonical": sc,
                              "obj_canonical": oc, "subj_ner": sn,
                              "obj_ner": on, "confidence": conf,

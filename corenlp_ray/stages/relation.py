@@ -156,21 +156,19 @@ def _sentence_candidates(words, lemmas, tags, heads, labels, mens,
 def candidate_relation_pairs(row: dict) -> List[RelationCandidate]:
     """Candidates for one annotated document row (pylist dict with the
     standard annotation columns); distill consumes this."""
+    from corenlp_ray.stages.openie import sentence_views
+
     out: List[RelationCandidate] = []
     words, tags = row["tok_word"], row["tok_pos"]
-    lemmas = row["tok_lemma"]
-    heads, labels = row["dep_head"], row["dep_label"]
-    mens = list(zip(row["men_begin"], row["men_end"], row["men_ner"]))
-    for si, (b, e) in enumerate(zip(row["sent_begin"], row["sent_end"])):
-        l_mens = [(mb - b, me - b, t, " ".join(words[mb:me]))
-                  for (mb, me, t) in mens
-                  if b <= mb and me <= e and t in ROTH_ENTITY_TYPES]
-        if len(l_mens) < 2:
-            continue
-        l_heads = [(h - b) if h >= 0 else -1 for h in heads[b:e]]
-        out.extend(_sentence_candidates(
-            words[b:e], lemmas[b:e], tags[b:e], l_heads, labels[b:e],
-            l_mens, si))
+    lemmas, labels = row["tok_lemma"], row["dep_label"]
+    for si, b, e, l_heads, l_mens, _ in sentence_views(
+            row, ("men_begin", "men_end", "men_ner")):
+        l_mens = [(mb, me, t, " ".join(words[b + mb:b + me]))
+                  for mb, me, t in l_mens if t in ROTH_ENTITY_TYPES]
+        if len(l_mens) >= 2:
+            out.extend(_sentence_candidates(
+                words[b:e], lemmas[b:e], tags[b:e], l_heads, labels[b:e],
+                l_mens, si))
     return out
 
 

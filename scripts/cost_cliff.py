@@ -22,12 +22,15 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import pyarrow as pa  # noqa: E402
 
 # an entity page (string and head sieves) and a pronoun page (pronoun
-# lookup); both are the skewed long documents of a web crawl's boilerplate
+# lookup); both are the skewed long documents of a web crawl's
+# boilerplate. The giant-sentence page has no terminal punctuation, so
+# it is ONE sentence of 10N tokens and N main verbs (depparse).
 PAGES = {
     "entity": "John Smith of Acme Corp. said Smith and Acme will open "
               "in Paris. ",
     "pronoun": "John Smith said he would visit Acme Corp. and it agreed "
                "with them. ",
+    "giant sentence": "the quick brown fox jumps over the lazy dog and ",
 }
 
 

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from corenlp_ray.functions.lexicon import (
     FEMALE_PRONOUNS, MALE_PRONOUNS, NEUTRAL_PRONOUNS, PLURAL_PRONOUNS,
 )
+from corenlp_ray.models.kbp_classifier import annotated_sentences
 from corenlp_ray.stages import kbp as kbp_mod
 from corenlp_ray.stages import openie as openie_mod
 from corenlp_ray.stages.coref import (
@@ -25,6 +26,7 @@ from corenlp_ray.stages.coref import (
     _strip, detect_coref_mentions, finalize_clusters, resolve_coref,
     resolve_pronouns,
 )
+from corenlp_ray.stages.relation import candidate_relation_pairs
 
 
 # ------------------------------------------------ all-pairs reference
@@ -481,10 +483,34 @@ def test_sentence_buckets_equal_per_sentence_filter(case):
         _per_sentence_filter(sb, se, spans)
 
 
+def _doc_level_distill_input(d, ner_mentions):
+    """The KBP distill input as ``models/distill.py`` built it before
+    ``annotated_sentences``: per-token NER tags from ``ner_mentions``
+    (tuples of the ``MENTION_FIELDS``) at document level, clipped at the
+    document end, then sliced per sentence; mentions filtered per
+    sentence."""
+    ners = ["O"] * len(d["tok_word"])
+    for mb, me, ty, _, _ in ner_mentions:
+        for k in range(mb, min(me, len(ners))):
+            ners[k] = ty
+    mens = list(zip(*(d[f] for f in kbp_mod.MENTION_FIELDS)))
+    out = []
+    for b, e in zip(d["sent_begin"], d["sent_end"]):
+        heads = [(h - b) if h >= 0 else -1 for h in d["dep_head"][b:e]]
+        out.append((d["tok_word"][b:e], d["tok_pos"][b:e],
+                    d["tok_lemma"][b:e], heads, d["dep_label"][b:e],
+                    ners[b:e], [(mb - b, me - b, *rest)
+                                for mb, me, *rest in mens
+                                if b <= mb and me <= e]))
+    return out
+
+
 def test_openie_kbp_rows_equal_per_sentence_filter(monkeypatch):
     """A mention crossing a sentence boundary, pronouns on a sentence's
-    first and last token and a duplicate ``pron_idx``: the bucketed
-    openie and kbp give the rows of the per-sentence filter."""
+    first and last token and a duplicate ``pron_idx``: every consumer of
+    the bucketed ``sentence_views`` (openie, kbp, the relation
+    candidates and the KBP distill input) gives what the per-sentence
+    filter gives."""
     d = _annotated(["John Smith met Mary Jones in Paris. She was born in "
                     "London and he works for Acme Corp. in Boston. They "
                     "agreed with him."]).to_pylist()[0]
@@ -503,10 +529,19 @@ def test_openie_kbp_rows_equal_per_sentence_filter(monkeypatch):
 
     def rows():
         return (openie_mod.openie_batch(batch).to_pylist(),
-                kbp_mod.KbpExtractor()(batch).to_pylist())
+                kbp_mod.KbpExtractor()(batch).to_pylist(),
+                candidate_relation_pairs(d),
+                [s[:6] + ([(m.b, m.e, m.type, m.norm, m.canonical)
+                           for m in s[6]],)
+                 for s in annotated_sentences(d)])
 
     bucketed = rows()
     monkeypatch.setattr(openie_mod, "sentence_buckets", _per_sentence_filter)
-    monkeypatch.setattr(kbp_mod, "sentence_buckets", _per_sentence_filter)
     assert rows() == bucketed
-    assert bucketed[0] and bucketed[1]
+    assert all(bucketed)
+    # the distill input tags tokens only from mentions inside the
+    # sentence, as ``KbpExtractor._classify_rest`` does at inference; the
+    # document-level tags differed on the crossing mention's tokens only
+    mens = list(zip(*(d[f] for f in kbp_mod.MENTION_FIELDS)))
+    assert bucketed[3] == _doc_level_distill_input(d, mens[:-1])
+    assert bucketed[3] != _doc_level_distill_input(d, mens)

@@ -108,3 +108,32 @@ def test_tree_wellformed_on_pages():
                 h = heads[k]
                 assert h == -1 or (b <= h < e)  # heads stay within sentence
                 assert h != k
+
+
+def test_currency_chunk_then_pp():
+    # the "$" chunk is added beside the "2 billion deal" chunk; the PP
+    # after it still finds its own complement
+    w, h, l = parse("Acme signed a $2 billion deal with Microsoft.")
+    r = rel(w, h, l)
+    assert ("Microsoft", "case", "with") in r
+    assert ("signed", "obl", "Microsoft") in r
+    assert ("deal", "nummod", "billion") in r
+
+
+def test_currency_list():
+    w, h, l = parse("He paid $5, $6 and $7.")
+    dollars = [k for k, x in enumerate(w) if x == "$"]
+    assert len(dollars) == 3
+    first, second, third = dollars
+    assert (h[first], l[first]) == (w.index("paid"), "obj")
+    assert (h[second], l[second]) == (first, "conj")
+    assert (h[third], l[third]) == (first, "conj")
+    assert (h[third - 1], l[third - 1]) == (third, "cc")
+
+
+def test_currency_measure_phrase():
+    w, h, l = parse("The company is $65 million old.")
+    r = rel(w, h, l)
+    assert ("ROOT", "root", "old") in r
+    assert ("old", "obl:npmod", "$") in r
+    assert ("old", "nsubj", "company") in r

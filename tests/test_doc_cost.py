@@ -1,6 +1,7 @@
 """Per-document cost stays bounded: a page that repeats one sentence
-2,000 times costs seconds, not minutes, and no adversarial page makes
-``FusedDocAnnotator`` raise or stall.
+2,000 times, or holds one sentence of 50k tokens, costs seconds, not
+minutes, and no adversarial page makes ``FusedDocAnnotator`` raise or
+stall.
 
 The repeated pages run in a subprocess with a timeout, so an all-pairs
 step cannot hang the suite; the fuzzed pages run under an alarm."""
@@ -28,6 +29,9 @@ REPEATED = {
     "pronoun": "John Smith said he would visit Acme Corp. and it agreed "
                "with them. ",
 }
+# one clause without terminal punctuation, repeated 5,000 times:
+# 50k tokens and 5,000 main verbs in a single sentence
+GIANT_SENTENCE = ("the quick brown fox jumps over the lazy dog and ", 5000)
 PAGE_BUDGET_S = 10.0
 
 _CHILD = """
@@ -37,8 +41,8 @@ from corenlp_ray.pipelines.kg import FusedDocAnnotator
 from corenlp_ray.sources.pages import PAGES_SCHEMA
 f = FusedDocAnnotator()
 out = {}
-for name, sentence in json.loads(sys.argv[1]).items():
-    text = sentence * 2000
+for name, (sentence, repeats) in json.loads(sys.argv[1]).items():
+    text = sentence * repeats
     page = pa.Table.from_pylist([{"url": "u", "warc_ts": 0,
         "html": text.encode(), "text": text, "lang": "en"}],
         schema=PAGES_SCHEMA)
@@ -52,10 +56,14 @@ print(json.dumps(out))
 
 def test_repeated_sentence_pages_cost_bounded():
     """×2000 pages: well under a second each with blocked coref; the
-    all-pairs sieves took about 75 s on the entity page."""
+    all-pairs sieves took about 75 s on the entity page. The giant
+    sentence takes about 1.5 s with depparse's subject index; its
+    per-verb scans over the whole sentence took about 44 s."""
     env = dict(os.environ, PYTHONPATH=REPO)
+    pages = {name: (s, 2000) for name, s in REPEATED.items()}
+    pages["giant_sentence"] = GIANT_SENTENCE
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(REPEATED)],
+        [sys.executable, "-c", _CHILD, json.dumps(pages)],
         capture_output=True, text=True, timeout=60, cwd=REPO, env=env)
     assert proc.returncode == 0, proc.stderr[-2000:]
     got = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -303,18 +303,13 @@ def annotated_sentences(row: dict) -> List[tuple]:
     → pylist): per sentence (words, tags, lemmas, heads, labels, ners,
     mentions), sentence-local as ``KbpExtractor`` sees them."""
     from corenlp_ray.stages.kbp import MENTION_FIELDS, Mention
-    from corenlp_ray.stages.openie import sentence_views
+    from corenlp_ray.stages.openie import sentence_views, token_ner
 
     out = []
     for _, b, e, heads, mens, _ in sentence_views(row, MENTION_FIELDS):
-        mens = [Mention(*m) for m in mens]
-        ners = ["O"] * (e - b)
-        for m in mens:
-            for k in range(m.b, min(m.e, e - b)):
-                ners[k] = m.type
         out.append((row["tok_word"][b:e], row["tok_pos"][b:e],
                     row["tok_lemma"][b:e], heads, row["dep_label"][b:e],
-                    ners, mens))
+                    token_ner(e - b, mens), [Mention(*m) for m in mens]))
     return out
 
 

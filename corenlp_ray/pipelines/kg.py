@@ -234,9 +234,10 @@ class DocsToTriples(FusedDocAnnotator):
 
         from corenlp_ray.sources.pages import _docs_to_pages
 
-        pages = _docs_to_pages(batch, self.pages_per_doc)
-        return super().__call__(
-            pages.filter(pc.equal(pages.column("lang"), "en")))
+        # a page has its document's language, so filter the documents
+        # and synthesize only the English pages
+        docs = batch.filter(pc.equal(batch.column("lang"), "en"))
+        return super().__call__(_docs_to_pages(docs, self.pages_per_doc))
 
 
 def pages_to_triples(pages_ds, distributed: bool = True):

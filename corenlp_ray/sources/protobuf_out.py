@@ -127,6 +127,8 @@ def document_to_proto(row: Dict, triples: Optional[List[Dict]] = None
     serialized CoreNLP ``Document`` message. ``triples`` (optional):
     this doc's TRIPLES_SCHEMA rows, routed to each sentence's
     openieTriple/kbpTriple by ``sent_idx``."""
+    from corenlp_ray.stages.openie import local_heads
+
     def _col(key, default=None):
         # None-safe (values may be numpy arrays, whose truthiness throws)
         v = row.get(key)
@@ -159,8 +161,8 @@ def document_to_proto(row: Dict, triples: Optional[List[Dict]] = None
             body.append(_uint(5, begins[b]))
             body.append(_uint(6, ends[e - 1]))
         if heads is not None and labels is not None:
-            l_heads = [(h - b) if h >= 0 else -1 for h in heads[b:e]]
-            body.append(_msg(8, _dep_graph(si, l_heads, labels[b:e])))
+            body.append(_msg(8, _dep_graph(si, local_heads(heads, b, e),
+                                           labels[b:e])))
         for t in by_sent.get(si, ()):
             fld = 16 if t.get("source") == "kbp" else 14
             body.append(_msg(fld, _relation_triple(

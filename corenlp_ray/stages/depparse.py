@@ -995,9 +995,10 @@ class DepParser:
 
     def __call__(self, batch: pa.Table,
                  cols: dict | None = None) -> pa.Table:
-        from corenlp_ray.stages._cache import col, put
+        from corenlp_ray.stages._cache import col, memo, put
 
         heads_c, labels_c = [], []
+        parse = memo(cols, "depparse", self._parse)
         words_col = col(batch, "tok_word", cols)
         tags_col = col(batch, "tok_pos", cols)
         sb_col = col(batch, "sent_begin", cols)
@@ -1005,8 +1006,9 @@ class DepParser:
         for words, tags, sbs, ses in zip(words_col, tags_col, sb_col, se_col):
             heads = [-1] * len(words)
             labels = ["dep"] * len(words)
+            words, tags = tuple(words), tuple(tags)
             for b, e in zip(sbs, ses):
-                hs, ls = self._parse(words[b:e], tags[b:e])
+                hs, ls = parse(words[b:e], tags[b:e])
                 for k, (h, l) in enumerate(zip(hs, ls)):
                     heads[b + k] = (b + h) if h >= 0 else -1
                     labels[b + k] = l

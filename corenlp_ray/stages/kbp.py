@@ -40,7 +40,7 @@ import pyarrow as pa
 
 from corenlp_ray.functions.tokenpattern import toks_of
 from corenlp_ray.stages.openie import (TRIPLE_COLUMNS, TRIPLES_SCHEMA,
-                                       sentence_views)
+                                       sentence_views, token_ner)
 
 _TITLE_NOUNS = {
     "officer", "ceo", "president", "director", "chairman", "chairwoman",
@@ -781,10 +781,7 @@ class KbpExtractor:
         from corenlp_ray.models.kbp_classifier import (NO_RELATION,
                                                        candidate_pairs)
 
-        ners = ["O"] * len(words)
-        for m in mentions:
-            for k in range(m.b, min(m.e, len(words))):
-                ners[k] = m.type
+        ners = token_ner(len(words), [(m.b, m.e, m.type) for m in mentions])
         out = []
         for s, o, feats in candidate_pairs(words, tags, lemmas, heads,
                                            labels, ners, mentions):

@@ -108,6 +108,7 @@ def polarity_sentence(words: List[str], tags: List[str],
 def natlog_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
     """Stateless map_batches stage: + tok_polarity (requires dep_*)."""
     from corenlp_ray.stages._cache import col
+    from corenlp_ray.stages.openie import local_heads
 
     out = []
     words_col = col(batch, "tok_word", cols)
@@ -121,8 +122,8 @@ def natlog_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
         heads, labels = heads_col[r], labels_col[r]
         pol = ["up"] * len(words)
         for b, e in zip(sb_col[r], se_col[r]):
-            l_heads = [(h - b) if h >= 0 else -1 for h in heads[b:e]]
-            pol[b:e] = polarity_sentence(words[b:e], tags[b:e], l_heads,
+            pol[b:e] = polarity_sentence(words[b:e], tags[b:e],
+                                         local_heads(heads, b, e),
                                          labels[b:e])
         out.append(pol)
     return batch.append_column("tok_polarity",

@@ -380,9 +380,10 @@ class NerTagger:
 
     def __call__(self, batch: pa.Table,
                  cols: dict | None = None) -> pa.Table:
-        from corenlp_ray.stages._cache import col, put
+        from corenlp_ray.stages._cache import col, memo, put
 
         ner_c, mb_c, me_c, ms_c, mn_c, mv_c = ([] for _ in range(6))
+        sentence = memo(cols, "ner", self._sentence)
         has_ts = "warc_ts" in batch.column_names
         ts_col = batch.column("warc_ts").to_pylist() if has_ts else None
         # cleanxml docdate (XML-embedded <date>/<datetime> content)
@@ -395,7 +396,7 @@ class NerTagger:
         sb_col = col(batch, "sent_begin", cols)
         se_col = col(batch, "sent_end", cols)
         for r in range(batch.num_rows):
-            words, tags = words_col[r], tags_col[r]
+            words, tags = tuple(words_col[r]), tuple(tags_col[r])
             docdate = None
             if xd_col is not None and xd_col[r]:
                 from corenlp_ray.stages.extract import normalize_docdate
@@ -407,8 +408,7 @@ class NerTagger:
             types: List[str] = ["O"] * len(words)
             mb, me, ms, mn, mv = [], [], [], [], []
             for si, (b, e) in enumerate(zip(sb_col[r], se_col[r])):
-                stypes, smentions = self._sentence(words[b:e], tags[b:e],
-                                                   docdate)
+                stypes, smentions = sentence(words[b:e], tags[b:e], docdate)
                 types[b:e] = stypes
                 for (lb, le, ty, norm) in smentions:
                     mb.append(b + lb)

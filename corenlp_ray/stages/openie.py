@@ -179,13 +179,14 @@ def extract_sentence_triples(
 ) -> List[Tuple[str, str, str, str, str, str, str, float]]:
     """Pure kernel: one sentence (sentence-local indices) →
     [(subj, pred, obj, subj_canon, obj_canon, subj_ner, obj_ner, conf)].
+    ``pron_canon``: {token: canonical}, or its items.
 
     Accepts both this engine's plain UD labels and the reference's
     subtyped ones (obl:with, nmod:of, conj:and, dobj, compound:prt) —
     normalized on entry so the graph-level parity suite
     (tests/test_segmenter_parity.py) can feed the reference's own test
     graphs verbatim."""
-    pron_canon = pron_canon or {}
+    pron_canon = dict(pron_canon or ())
     labels = [_norm_label(l) for l in labels]
     ch = _children(heads, labels)
     n = len(words)
@@ -756,6 +757,23 @@ def sentence_buckets(sent_begin: List[int], sent_end: List[int],
     return out
 
 
+def local_heads(heads: List[int], b: int, e: int) -> List[int]:
+    """Document-level ``heads`` of sentence ``[b, e)`` made relative to
+    ``b`` (-1 = root stays -1)."""
+    return [(h - b) if h >= 0 else -1 for h in heads[b:e]]
+
+
+def token_ner(n: int, mentions: Iterable[tuple]) -> List[str]:
+    """Per-token NER types of an ``n``-token sentence from its
+    ``mentions`` (tuples that start with ``begin, end, type``); a later
+    mention overwrites an earlier one, tokens outside any are "O"."""
+    ners = ["O"] * n
+    for m in mentions:
+        for k in range(m[0], min(m[1], n)):
+            ners[k] = m[2]
+    return ners
+
+
 def sentence_views(row: dict, men_fields: Tuple[str, ...]):
     """One document ``row`` (column name → pylist) as sentence-local
     views, the stand-in for the reference's per-sentence ``CoreMap``:
@@ -770,7 +788,7 @@ def sentence_views(row: dict, men_fields: Tuple[str, ...]):
     pron_s = sentence_buckets(sb, se, [(k, k + 1, v)
                                        for k, v in pron.items()])
     for si, (b, e) in enumerate(zip(sb, se)):
-        yield (si, b, e, [(h - b) if h >= 0 else -1 for h in heads[b:e]],
+        yield (si, b, e, local_heads(heads, b, e),
                [(m[0] - b, m[1] - b) + m[2:] for m in men_s[si]],
                {k - b: v for k, _, v in pron_s[si]})
 
@@ -781,20 +799,21 @@ def openie_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
     Requires the ``TRIPLE_COLUMNS``. Explodes rows; output schema is
     TRIPLES_SCHEMA. Stateless, per-sentence parallel. ``cols``: the
     chain's pylist cache, shared with kbp in the fused chain."""
-    from corenlp_ray.stages._cache import col
+    from corenlp_ray.stages._cache import col, memo
 
+    extract = memo(cols, "openie", extract_sentence_triples)
     cols = {name: col(batch, name, cols)
             for name in ("url",) + TRIPLE_COLUMNS}
     rows: List[dict] = []
     for r in range(batch.num_rows):
         row = {name: v[r] for name, v in cols.items()}
-        words, tags = row["tok_word"], row["tok_pos"]
-        lemmas, labels = row["tok_lemma"], row["dep_label"]
+        words, tags = tuple(row["tok_word"]), tuple(row["tok_pos"])
+        lemmas, labels = tuple(row["tok_lemma"]), tuple(row["dep_label"])
         for si, b, e, l_heads, l_mens, l_pron in sentence_views(
                 row, ("men_begin", "men_end", "men_ner")):
-            for (s, p, o, sc, oc, sn, on, conf) in extract_sentence_triples(
-                    words[b:e], tags[b:e], lemmas[b:e], l_heads,
-                    labels[b:e], l_mens, l_pron):
+            for (s, p, o, sc, oc, sn, on, conf) in extract(
+                    words[b:e], tags[b:e], lemmas[b:e], tuple(l_heads),
+                    labels[b:e], tuple(l_mens), tuple(l_pron.items())):
                 rows.append({"url": row["url"], "sent_idx": si, "subj": s,
                              "pred": p, "obj": o, "subj_canonical": sc,
                              "obj_canonical": oc, "subj_ner": sn,

@@ -355,17 +355,18 @@ class PosTagger:
 
     def __call__(self, batch: pa.Table,
                  cols: dict | None = None) -> pa.Table:
-        from corenlp_ray.stages._cache import col, put
+        from corenlp_ray.stages._cache import col, memo, put
 
         out = []
+        tag = memo(cols, "pos", self._tag)
         words_col = col(batch, "tok_word", cols)
         sb_col = col(batch, "sent_begin", cols)
         se_col = col(batch, "sent_end", cols)
         for words, sbs, ses in zip(words_col, sb_col, se_col):
             tags: List[str] = [""] * len(words)
+            words = tuple(words)
             for b, e in zip(sbs, ses):
-                for k, t in enumerate(self._tag(words[b:e])):
-                    tags[b + k] = t
+                tags[b:e] = tag(words[b:e])
             out.append(tags)
         put(cols, tok_pos=out)
         return batch.append_column(

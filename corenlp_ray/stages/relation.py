@@ -135,10 +135,9 @@ def _sentence_candidates(words, lemmas, tags, heads, labels, mens,
     """All ordered pairs of Roth-type mentions in one sentence
     (AnnotationUtils.getAllUnrelatedRelations semantics). Indices are
     sentence-local."""
-    ners = ["O"] * len(words)
-    for (b, e, t, surface) in mens:
-        for k in range(b, min(e, len(words))):
-            ners[k] = t
+    from corenlp_ray.stages.openie import token_ner
+
+    ners = token_ner(len(words), mens)
     out = []
     for i, (sb, se, stype, ssurf) in enumerate(mens):
         for j, (ob, oe, otype, osurf) in enumerate(mens):

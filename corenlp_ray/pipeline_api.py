@@ -15,7 +15,7 @@ Names map to registry stages (``ANNOTATOR_STAGES``); the stage registry
 (pipelines/registry.py) closes them over their prerequisites and orders
 them, the same resolution every other execution shape runs.
 ``annotate`` appends annotation columns by running the resolved stages
-as one registry ``Chain`` (one actor pool when ``distributed=True``);
+as one registry ``Chain`` (one task map over the Dataset);
 ``triples`` ends that same chain with an extractor: the fused
 openie∪kbp extraction when either is requested, else the relation
 extractor. Unknown annotator names raise ``ValueError`` (the reference
@@ -98,7 +98,6 @@ _MODEL_PROPERTIES = {
 class Pipeline:
     def __init__(self, annotators: str | Sequence[str]
                  = "tokenize,ssplit,pos,lemma,ner",
-                 distributed: bool = True,
                  properties: dict | None = None):
         """``properties``: reference-style configuration. Supported:
         the model-path keys in ``_MODEL_PROPERTIES`` (each re-registers
@@ -113,7 +112,6 @@ class Pipeline:
                             if isinstance(annotators, str)
                             else annotators) if a.strip()]
         self.stages = resolve_annotators(self.annotators)
-        self.distributed = distributed
         props = dict(properties or {})
         algo = props.pop("coref.algorithm", None)
         model_kwargs = {}
@@ -140,8 +138,7 @@ class Pipeline:
         appended (one registry chain)."""
         from corenlp_ray.pipelines.kg import apply
 
-        return apply(pages_ds, tuple(self.stages),
-                     distributed=self.distributed)
+        return apply(pages_ds, tuple(self.stages))
 
     def triples(self, pages_ds):
         """pages Dataset → triples Dataset. openie/kbp run fused (one
@@ -159,7 +156,7 @@ class Pipeline:
                 "kbp, or relation" % self.annotators)
         only = producers & {"openie", "kbp"}
         extractor = triples_stage() if only else relation_stage()
-        out = extract(pages_ds, extractor, self.stages, self.distributed)
+        out = extract(pages_ds, extractor, self.stages)
         if len(only) == 1:
             import pyarrow as pa
             import pyarrow.compute as pc

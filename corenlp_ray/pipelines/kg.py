@@ -6,13 +6,13 @@ coref → (openie ∪ kbp) triples → canonicalization shuffle → KG store.
 The annotation chain is not written out here: it is what the stage
 registry resolves for ``ANNOTATE_STAGES`` — cleanxml plus every stage
 the triple extractor's columns need, in registration order. The fused
-actor (``FusedDocAnnotator``), ``annotate_pages`` + ``extract_triples``
+chain (``FusedDocAnnotator``), ``annotate_pages`` + ``extract_triples``
 and the simple API all run that resolution as a registry ``Chain``, so
 a slot installed with ``register_weighted_models`` reaches each of them.
 
 Execution shapes (SURVEY §7.3):
-  * per-document chain: one ``Chain`` per actor (model state pinned per
-    actor), one pool per Dataset pass (``registry.launch``)
+  * per-document chain: one ``Chain`` built on the driver, run by the
+    plain tasks of one map per Dataset pass (``registry.launch``)
   * shuffles:           alias-map two-phase aggregate; (subj,pred,obj) dedup
   * layout:             hash(subj)-bucketed Parquet
 
@@ -142,9 +142,9 @@ def register_weighted_models(**model_paths: str | None) -> None:
         register(replace(get(slot), fn=fn, init_kwargs={"model_path": path}))
 
 
-def annotate_pages(pages_ds, distributed: bool = True):
+def annotate_pages(pages_ds):
     """pages Dataset → fully annotated docs Dataset (append-only columns)."""
-    return apply(pages_ds, ANNOTATE_STAGES, distributed=distributed)
+    return apply(pages_ds, ANNOTATE_STAGES)
 
 
 class TripleExtractor:
@@ -183,14 +183,14 @@ def relation_stage() -> Stage:
                  {"model_path": _MODEL_PATHS.get("relation")})
 
 
-def extract_triples(docs_ds, distributed: bool = True):
+def extract_triples(docs_ds):
     """annotated docs → triples Dataset (openie ∪ kbp, single pass)."""
-    return extract(docs_ds, triples_stage(), distributed=distributed)
+    return extract(docs_ds, triples_stage())
 
 
-def extract_relations(docs_ds, distributed: bool = True):
+def extract_relations(docs_ds):
     """annotated docs → ACE relation rows."""
-    return extract(docs_ds, relation_stage(), distributed=distributed)
+    return extract(docs_ds, relation_stage())
 
 
 def fused_stages():
@@ -204,11 +204,10 @@ class FusedDocAnnotator(Chain):
     annotation stages, then ``TripleExtractor``.
 
     This is the flagship execution shape: the chain is per-row pure, so
-    fusing it removes inter-pool block transfers and the pool-balance
-    problem (chained pools bottleneck on the heaviest stage; one pool
-    self-balances). ``stages`` defaults to ``fused_stages()`` resolved
-    in this process; ``launch`` ships the driver's resolution to the
-    actors."""
+    fusing it removes inter-operator block transfers, and one map of
+    equal tasks balances itself. ``stages`` defaults to
+    ``fused_stages()`` resolved in this process; ``launch`` builds the
+    chain on the driver and ships it to the tasks."""
 
     def __init__(self, stages=None):
         super().__init__(stages or fused_stages())
@@ -220,8 +219,8 @@ class FusedDocAnnotator(Chain):
 
 class DocsToTriples(FusedDocAnnotator):
     """documents rows → synthesized English pages → triples, all inside
-    ONE actor pool — page synthesis and the lang filter run on the pool
-    too, so no task stage competes with the reserved actors for CPUs
+    ONE map operator — the lang filter and page synthesis run in the
+    same task as the chain, so no page block crosses the object store
     (explicit fusion instead of relying on the planner's
     operator-fusion heuristics)."""
 
@@ -240,15 +239,15 @@ class DocsToTriples(FusedDocAnnotator):
         return super().__call__(_docs_to_pages(docs, self.pages_per_doc))
 
 
-def pages_to_triples(pages_ds, distributed: bool = True):
+def pages_to_triples(pages_ds):
     """pages → triples via the fused annotator chain."""
     return launch(pages_ds, FusedDocAnnotator, {"stages": fused_stages()},
-                  distributed, batch_size=16)
+                  batch_size=16)
 
 
 def documents_to_triples(sf_dir: str, pages_per_doc: int | None = None):
     """The flagship front half: documents.parquet → triples Dataset, one
-    fused actor pool, read split for sub-second task granularity."""
+    fused task map, read split for sub-second task granularity."""
     import os
 
     import pyarrow.parquet as pq
@@ -257,8 +256,8 @@ def documents_to_triples(sf_dir: str, pages_per_doc: int | None = None):
     if pages_per_doc is None:
         pages_per_doc = int(os.environ.get("GRAFT_PAGES_PER_DOC", "1"))
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    # granularity: ~4 tasks per actor balances the pool without drowning
-    # the scheduler in per-task dispatch overhead
+    # granularity: ~4 tasks per CPU balances the map without drowning
+    # the scheduler in per-task dispatch and chain-unpickle overhead
     blocks = max(8, min(n_docs, 4 * _ncpus()))
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "lang", "text"],
@@ -281,7 +280,7 @@ def _triples_to_kg(triples, num_buckets: int):
     return build_kg(triples, alias_map=alias, num_buckets=num_buckets)
 
 
-def kg_pipeline(pages_ds, num_buckets: int = 16, distributed: bool = True):
+def kg_pipeline(pages_ds, num_buckets: int = 16):
     """Full pipeline: pages → KG Dataset (not yet written).
 
     English-only (documented limitation, SURVEY §2.2 row 26): non-en rows
@@ -291,14 +290,13 @@ def kg_pipeline(pages_ds, num_buckets: int = 16, distributed: bool = True):
     pages_ds = pages_ds.map_batches(
         lambda b: b.filter(pc.equal(b.column("lang"), "en")),
         batch_format="pyarrow")
-    return _triples_to_kg(pages_to_triples(pages_ds, distributed=distributed),
-                          num_buckets)
+    return _triples_to_kg(pages_to_triples(pages_ds), num_buckets)
 
 
 def kg_from_documents(sf_dir: str, num_buckets: int = 16,
                       pages_per_doc: int | None = None):
     """Flagship end-to-end: documents.parquet → KG Dataset via the fused
-    pool + canonicalization shuffle."""
+    task map + canonicalization shuffle."""
     return _triples_to_kg(
         documents_to_triples(sf_dir, pages_per_doc=pages_per_doc),
         num_buckets)

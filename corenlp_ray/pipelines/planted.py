@@ -67,7 +67,7 @@ def q_entity_mentions_planted(sf_dir: str):
 
     ann = apply(_docs_ids(sf_dir).map_batches(synth,
                                               batch_format="pyarrow"),
-                ("ner",), distributed=False)
+                ("ner",))
 
     def explode(b: pa.Table) -> pa.Table:
         rows = {"doc_id": [], "surface": [], "ner": [], "normalized": []}
@@ -150,8 +150,7 @@ def _planted_triples(sf_dir: str, text_fn):
     return extract(_docs_ids(sf_dir).map_batches(synth,
                                                  batch_format="pyarrow"),
                    triples_stage(),
-                   ("tokenize", "pos", "lemma", "ner", "depparse", "coref"),
-                   distributed=False)
+                   ("tokenize", "pos", "lemma", "ner", "depparse", "coref"))
 
 
 def _project_triples(triples, source: str):
@@ -260,8 +259,7 @@ def q_natlog_planted(sf_dir: str):
 
     from corenlp_ray.pipelines.kg import apply
 
-    ann = apply(_planted_doc_texts(sf_dir, _natlog_text), ("natlog",),
-                distributed=False)
+    ann = apply(_planted_doc_texts(sf_dir, _natlog_text), ("natlog",))
 
     def project(b: pa.Table) -> pa.Table:
         downs = [sum(1 for p in pol if p == "down")
@@ -308,7 +306,7 @@ def q_sentiment_planted(sf_dir: str):
     from corenlp_ray.stages.sentiment import sentiment_batch
 
     ann = apply(_planted_doc_texts(sf_dir, _sentiment_text),
-                ("depparse",), distributed=False) \
+                ("depparse",)) \
         .map_batches(sentiment_batch, batch_format="pyarrow")
 
     def project(b: pa.Table) -> pa.Table:
@@ -355,7 +353,7 @@ def q_extract_planted(sf_dir: str):
                               ("html", pa.binary())]))
 
     out = apply(_docs_ids(sf_dir).map_batches(synth, batch_format="pyarrow"),
-                ("cleanxml",), distributed=False)
+                ("cleanxml",))
     return out.select_columns(["doc_id", "text_extracted"]) \
         .map_batches(lambda b: b.rename_columns(["doc_id", "text"]),
                      batch_format="pyarrow")
@@ -405,8 +403,7 @@ def q_enhanced_deps_planted(sf_dir: str):
     a deterministic constant the oracle reproduces by doc_id."""
     from corenlp_ray.pipelines.kg import apply
 
-    ann = apply(_planted_doc_texts(sf_dir, _enhanced_text), ("enhanced",),
-                distributed=False)
+    ann = apply(_planted_doc_texts(sf_dir, _enhanced_text), ("enhanced",))
 
     def project(b: pa.Table) -> pa.Table:
         rows = {"doc_id": [], "edges": []}
@@ -476,14 +473,14 @@ def q_cleanxml_docdate_planted(sf_dir: str):
                               ("warc_ts", pa.timestamp("us"))]))
 
     ds = (apply(_docs_ids(sf_dir).map_batches(synth, batch_format="pyarrow"),
-                ("cleanxml",), distributed=False)
+                ("cleanxml",))
           .map_batches(extract_doc_attrs_batch, batch_format="pyarrow")
           .map_batches(lambda b: b.drop_columns(["html"])
                        .rename_columns([
                            "text" if c == "text_extracted" else c
                            for c in b.drop_columns(["html"]).column_names]),
                        batch_format="pyarrow"))
-    ann = apply(ds, ("ner",), distributed=False)
+    ann = apply(ds, ("ner",))
     rel = set(_CLEANXML_PHRASES)
 
     def project(b: pa.Table) -> pa.Table:
@@ -551,8 +548,7 @@ def q_tokenize_planted(sf_dir: str):
 
     from corenlp_ray.pipelines.kg import apply
 
-    out = apply(_planted_doc_texts(sf_dir, _tokenize_text), ("tokenize",),
-                distributed=False)
+    out = apply(_planted_doc_texts(sf_dir, _tokenize_text), ("tokenize",))
     return out.map_batches(
         lambda b: pa.Table.from_pydict(
             {"doc_id": b.column("doc_id"),
@@ -602,7 +598,7 @@ def q_protobuf_planted(sf_dir: str):
 
     ann = apply(_planted_doc_texts(sf_dir, _tokenize_text)
                 .map_batches(add_url, batch_format="pyarrow"),
-                ("tokenize",), distributed=False)
+                ("tokenize",))
     out_dir = tempfile.mkdtemp(prefix="graft_pb_planted_")
     paths = write_protobuf(ann, out_dir)
     rows = {"doc_id": [], "n_tokens": [], "n_sents": []}
@@ -891,8 +887,7 @@ def q_parse_planted(sf_dir: str):
     SQL-computable from the slot values."""
     from corenlp_ray.pipelines.kg import apply
 
-    ann = apply(_planted_doc_texts(sf_dir, _parse_text), ("parse",),
-                distributed=False)
+    ann = apply(_planted_doc_texts(sf_dir, _parse_text), ("parse",))
 
     def project(b: pa.Table) -> pa.Table:
         trees = [t[0] if t else "" for t in
@@ -938,7 +933,7 @@ def q_linking_planted(sf_dir: str):
     from corenlp_ray.pipelines.kg import apply
 
     ann = apply(_planted_doc_texts(sf_dir, _linking_text),
-                ("entitylink", "gender"), distributed=False)
+                ("entitylink", "gender"))
 
     def explode(b: pa.Table) -> pa.Table:
         rows = {"doc_id": [], "surface": [], "ner": [], "link": [],
@@ -1030,7 +1025,7 @@ def q_quotes_planted(sf_dir: str):
 
     ann = apply(_docs_ids(sf_dir).map_batches(synth,
                                               batch_format="pyarrow"),
-                ("quote",), distributed=False)
+                ("quote",))
 
     def explode(b: pa.Table) -> pa.Table:
         rows = {"doc_id": [], "quote": [], "speaker": []}
@@ -1202,8 +1197,7 @@ def q_relation_planted(sf_dir: str):
     rels = extract(_docs_ids(sf_dir).map_batches(synth,
                                                  batch_format="pyarrow"),
                    relation_stage(),
-                   ("tokenize", "pos", "lemma", "ner", "depparse"),
-                   distributed=False)
+                   ("tokenize", "pos", "lemma", "ner", "depparse"))
 
     def proj(b: pa.Table) -> pa.Table:
         return pa.Table.from_pydict(
@@ -2386,7 +2380,7 @@ def q_coref_full_planted(sf_dir: str):
     from corenlp_ray.pipelines.kg import apply
 
     ann = apply(_planted_doc_texts(sf_dir, _coref_full_text),
-                ("coref.full",), distributed=False)
+                ("coref.full",))
 
     def project(b: pa.Table) -> pa.Table:
         n_men, n_multi, mx = [], [], []

@@ -933,7 +933,7 @@ def q_extract_text(sf_dir: str):
             "n_chars": pc.utf8_length(b.column("text_extracted")),
             "byte_identical": ok})
 
-    return apply(_pages(sf_dir), ("cleanxml",), distributed=False) \
+    return apply(_pages(sf_dir), ("cleanxml",)) \
         .map_batches(project, batch_format="pyarrow")
 
 
@@ -948,7 +948,7 @@ def q_tokenize(sf_dir: str):
             "n_tokens": pc.list_value_length(b.column("tok_word")),
             "n_sentences": pc.list_value_length(b.column("sent_begin"))})
 
-    return apply(_pages(sf_dir), ("tokenize",), distributed=False) \
+    return apply(_pages(sf_dir), ("tokenize",)) \
         .map_batches(project, batch_format="pyarrow")
 
 
@@ -1223,8 +1223,7 @@ def q_parse_trees(sf_dir: str):
     annotated docs (rows-only; tree well-formedness is golden-tested)."""
     from corenlp_ray.pipelines.kg import apply
 
-    ds = apply(_docs(sf_dir, ["doc_id", "text"]), ("parse",),
-               distributed=False)
+    ds = apply(_docs(sf_dir, ["doc_id", "text"]), ("parse",))
 
     def flatten(b):
         import pyarrow as _pa

@@ -2,7 +2,7 @@
 columns, and memos of the pure per-sentence kernels.
 
 Every stage kernel converts its input list columns with ``to_pylist()``;
-in the fused actor (pipelines/kg.FusedDocAnnotator) consecutive kernels
+in the fused chain (pipelines/kg.FusedDocAnnotator) consecutive kernels
 re-convert the SAME columns (tok_word alone is read by six stages —
 measured ~15-20% of the chain's wall time). The fused path threads one
 mutable ``cols`` dict through the kernels: reads hit the cache, and each

@@ -210,6 +210,18 @@ def _try_relative(words: List[str], lowers: List[str], i: int, n: int,
     return j, v
 
 
+# lowercase tokens at which ner_sentence reads the docdate: relative-date
+# openers (_try_relative; also any digit) and month names (_fmt_date)
+_DOCDATE_WORDS = frozenset(_REL_FIRST) | frozenset(MONTHS)
+
+
+def reads_docdate(words) -> bool:
+    """Whether ``ner_sentence`` can read the docdate on ``words``; when
+    not, its output is the same for every docdate."""
+    return any(w[:1].isdigit() or w.lower() in _DOCDATE_WORDS
+               for w in words)
+
+
 def ner_sentence(words: List[str], tags: List[str],
                  docdate: Optional[str] = None) -> Tuple[List[str], List[Tuple[int, int, str, str]]]:
     """Pure kernel: one sentence → (per-token types, mentions).
@@ -384,6 +396,8 @@ class NerTagger:
 
         ner_c, mb_c, me_c, ms_c, mn_c, mv_c = ([] for _ in range(6))
         sentence = memo(cols, "ner", self._sentence)
+        # keyed without the docdate where the kernel cannot read it
+        dated = memo(cols, "ner.dated", reads_docdate)
         has_ts = "warc_ts" in batch.column_names
         ts_col = batch.column("warc_ts").to_pylist() if has_ts else None
         # cleanxml docdate (XML-embedded <date>/<datetime> content)
@@ -408,7 +422,9 @@ class NerTagger:
             types: List[str] = ["O"] * len(words)
             mb, me, ms, mn, mv = [], [], [], [], []
             for si, (b, e) in enumerate(zip(sb_col[r], se_col[r])):
-                stypes, smentions = sentence(words[b:e], tags[b:e], docdate)
+                sw = words[b:e]
+                stypes, smentions = sentence(sw, tags[b:e],
+                                             docdate if dated(sw) else None)
                 types[b:e] = stypes
                 for (lb, le, ty, norm) in smentions:
                     mb.append(b + lb)

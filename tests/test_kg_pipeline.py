@@ -43,7 +43,7 @@ def kg_result(ray_session, tmp_path_factory):
 
     tbl = synth_pages_table(n=40, seed=21)
     ds = rd.from_arrow(tbl)
-    kg = kg_pipeline(ds, num_buckets=8, distributed=False)
+    kg = kg_pipeline(ds, num_buckets=8)
     out = tmp_path_factory.mktemp("kg")
     kg.write_parquet(str(out), partition_cols=["subj_bucket"])
     import pyarrow.dataset as pads
@@ -201,18 +201,21 @@ ray.init(address="local", num_cpus=1, include_dashboard=False,
          logging_level="ERROR", log_to_driver=False)
 try:
     rd.DataContext.get_current().enable_progress_bars = False
-    from corenlp_ray.pipelines.kg import kg_pipeline
+    import pyarrow.compute as pc
+    from corenlp_ray.pipelines.kg import (FusedDocAnnotator, _triples_to_kg,
+                                          kg_pipeline)
     from corenlp_ray.sources.pages import synth_pages_table
 
+    def rows(kg):
+        return sorted(json.dumps(r, sort_keys=True) for r in kg.take_all())
+
     tbl = synth_pages_table(n=12, seed=21)
-    rows = {}
-    for distributed in (False, True):
-        kg = kg_pipeline(rd.from_arrow(tbl).repartition(4), num_buckets=4,
-                         distributed=distributed)
-        rows[distributed] = sorted(
-            json.dumps(r, sort_keys=True) for r in kg.take_all())
-    print(json.dumps({"n": len(rows[False]),
-                      "equal": rows[True] == rows[False]}))
+    got = rows(kg_pipeline(rd.from_arrow(tbl).repartition(4),
+                           num_buckets=4))
+    # the same chain run in this process, then the same KG tail
+    en = tbl.filter(pc.equal(tbl.column("lang"), "en"))
+    want = rows(_triples_to_kg(rd.from_arrow(FusedDocAnnotator()(en)), 4))
+    print(json.dumps({"n": len(want), "equal": got == want}))
 finally:
     signal.alarm(0)
     ray.shutdown()
@@ -220,10 +223,11 @@ finally:
 
 
 def test_one_cpu_kg_finishes(tmp_path):
-    """On a 1-CPU cluster the distributed KG pipeline finishes and equals
-    the in-process result. A separate driver process with its own 1-CPU
-    cluster, bounded twice: an in-process alarm that shuts Ray down, and
-    a kill of the whole process group as the backstop."""
+    """On a 1-CPU cluster the KG pipeline finishes, and its KG equals the
+    one built from the fused chain run in the driver process. A separate
+    driver process with its own 1-CPU cluster, bounded twice: an
+    in-process alarm that shuts Ray down, and a kill of the whole
+    process group as the backstop."""
     import json
     import os
     import signal

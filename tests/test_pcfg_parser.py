@@ -112,7 +112,7 @@ def test_register_weighted_parse_stage(ray_session, model):
             schema=pa.schema([("url", pa.string()),
                               ("text", pa.string())])))
         ann = apply(docs, ("tokenize", "pos", "lemma", "ner", "depparse",
-                           "parse"), distributed=False)
+                           "parse"))
         rows = ann.take_all()
         assert rows and rows[0]["parse_tree"][0].startswith("(ROOT")
     finally:

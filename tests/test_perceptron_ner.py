@@ -141,7 +141,7 @@ def test_register_weighted_ner(ray_session, tmp_path):
             {"url": ["a"], "text": ["John Smith visited Paris."]},
             schema=pa.schema([("url", pa.string()),
                               ("text", pa.string())])))
-        ann = apply(docs, ("tokenize", "pos", "ner"), distributed=False)
+        ann = apply(docs, ("tokenize", "pos", "ner"))
         rows = ann.take_all()
         assert "PERSON" in rows[0]["men_ner"]
     finally:

@@ -31,7 +31,7 @@ def test_annotate_appends_columns(ray_session):
 
     from corenlp_ray.sources.pages import synth_pages_table
 
-    pl = Pipeline("tokenize,ssplit,pos,lemma,ner", distributed=False)
+    pl = Pipeline("tokenize,ssplit,pos,lemma,ner")
     ds = rd.from_arrow(synth_pages_table(n=6, seed=21))
     out = pl.annotate(ds)
     row = out.take(1)[0]
@@ -50,7 +50,7 @@ def test_triples_kbp_only_filters_source(ray_session):
 
     from corenlp_ray.sources.pages import synth_pages_table
 
-    pl = Pipeline("kbp", distributed=False)
+    pl = Pipeline("kbp")
     ds = rd.from_arrow(synth_pages_table(n=8, seed=22))
     rows = pl.triples(ds).take_all()
     assert rows and all(r["source"] == "kbp" for r in rows)
@@ -74,8 +74,7 @@ def test_properties_model_swap_and_restore(ray_session, tmp_path):
     m.save(p)
     snapshot = dict(registry._REGISTRY)
     try:
-        pl = Pipeline("tokenize,ssplit,pos", distributed=False,
-                      properties={"pos.model": p})
+        pl = Pipeline("tokenize,ssplit,pos", properties={"pos.model": p})
         out = pl.annotate(rd.from_arrow(synth_pages_table(n=3, seed=5)))
         assert "tok_pos" in out.take(1)[0]
     finally:
@@ -94,30 +93,34 @@ def test_properties_unknown_key_raises():
 
 
 def test_default_distributed_triples_finish_on_small_cluster():
-    """``Pipeline("openie,kbp").triples`` with the default
-    ``distributed=True`` finishes on a 4-CPU cluster with an input
-    repartitioned into 8 blocks (one chained actor pool per model stage
-    reserved every CPU there, so the repartition tasks never ran), and
-    its triples equal the in-process task run's. Runs in its own process under a wall-clock
-    bound."""
+    """``Pipeline("openie,kbp").triples`` finishes on a 4-CPU cluster
+    with an input repartitioned into 8 blocks (one chained actor pool
+    per model stage once reserved every CPU there, so the repartition
+    tasks never ran), and its triples equal those of the same chain
+    called in the driver process. Runs in its own process under a
+    wall-clock bound."""
     import os
     import subprocess
     import sys
 
     code = "\n".join([
-        "import ray, ray.data as rd",
+        "import pyarrow as pa, ray, ray.data as rd",
         "from corenlp_ray.pipeline_api import Pipeline",
+        "from corenlp_ray.pipelines.kg import triples_stage",
+        "from corenlp_ray.pipelines.registry import Chain, build",
         "from corenlp_ray.sources.pages import synth_pages_table",
         "ray.init(address='local', num_cpus=4, include_dashboard=False,",
         "         logging_level='ERROR')",
         "rd.DataContext.get_current().enable_progress_bars = False",
         "tbl = synth_pages_table(n=48, seed=7)",
         "ds = rd.from_arrow(tbl).repartition(8)",
-        "def keys(d):",
-        "    return sorted(map(tuple, (r.values() for r in d.select_columns(",
-        "        ['url', 'subj', 'pred', 'obj', 'source']).take_all())))",
-        "got = keys(Pipeline('openie,kbp').triples(ds))",
-        "want = keys(Pipeline('openie,kbp', distributed=False).triples(ds))",
+        "def keys(t):",
+        "    return sorted(zip(*(t.column(c).to_pylist() for c in (",
+        "        'url', 'subj', 'pred', 'obj', 'source'))))",
+        "pl = Pipeline('openie,kbp')",
+        "got = keys(pa.concat_tables(list(pl.triples(ds).iter_batches(",
+        "    batch_format='pyarrow'))))",
+        "want = keys(Chain(build(pl.stages) + [triples_stage()])(tbl))",
         "assert got and got == want, (len(got), len(want))",
         "ray.shutdown()",
     ])

@@ -119,8 +119,8 @@ def test_write_protobuf_sink_with_triples(ray_session, tmp_path):
                   "Mary Jones lives in Paris."]},
         schema=pa.schema([("url", pa.string()), ("text", pa.string())])))
     ann = apply(docs, ("tokenize", "pos", "lemma", "ner", "depparse",
-                       "coref"), distributed=False).materialize()
-    triples = extract_triples(ann, distributed=False)
+                       "coref")).materialize()
+    triples = extract_triples(ann)
     out = str(tmp_path / "pb")
     paths = write_protobuf(ann, out, triples_ds=triples)
     assert paths

@@ -101,6 +101,43 @@ def test_ner_repeat_with_other_docdate_is_not_shared():
         assert norms[r] == [m[3] for m in k_mens]
 
 
+class CountingNer(NerTagger):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def _sentence(self, words, tags, docdate):
+        self.calls += 1
+        return super()._sentence(words, tags, docdate)
+
+
+def test_ner_dateless_repeat_is_shared_across_docdates():
+    """A sentence with no token that can read the docdate runs once for
+    pages of different dates. A bare month name takes its year from the
+    docdate, and a digit can open a relative date, so those sentences
+    run once per date. Every output equals the kernel's with the page's
+    own docdate."""
+    text = ("Acme Corp hired John Smith. The board met in October. "
+            "The shop opened 3 days ago.")
+    b = PosTagger()(tokenized([text, text]))
+    ts = pa.array([datetime(2019, 3, 1), datetime(2021, 3, 1)],
+                  type=b.schema.field("warc_ts").type)
+    b = b.set_column(b.column_names.index("warc_ts"), "warc_ts", ts)
+    tagger = CountingNer()
+    out = tagger(b)
+    assert tagger.calls == 5
+    norms = out.column("men_norm").to_pylist()
+    assert {"2019-10", "2019-02-26"} <= set(norms[0])
+    assert {"2021-10", "2021-02-26"} <= set(norms[1])
+    words = b.column("tok_word").to_pylist()
+    tags = b.column("tok_pos").to_pylist()
+    types = out.column("tok_ner").to_pylist()
+    for r, s, e in sentences(b):
+        docdate = f"{[2019, 2021][r]}-03-01"
+        k_types, _ = ner_sentence(words[r][s:e], tags[r][s:e], docdate)
+        assert types[r][s:e] == k_types
+
+
 def test_depparse_repeat_with_other_supplied_tags_is_not_shared():
     """Same words, different supplied tok_pos: each gets its own parse."""
     b = tokenized(["Visiting relatives can be boring."] * 2)

@@ -2,9 +2,10 @@
 distill tiny pos / depparse / kbp / coref models, register every
 weighted path (the reference's equivalent: pointing pos.model /
 depparse.model / kbp.model / coref.algorithm at .ser.gz files), and run
-the full distributed annotate → extract chain with the weights pinned
-in each chain actor. Guards the slot composition — each swap is unit-tested
-alone; this pins that they coexist in one pipeline."""
+the full annotate → extract chain over Ray Data with the weights pinned
+in the chain the driver ships to the tasks. Guards the slot composition
+— each swap is unit-tested alone; this pins that they coexist in one
+pipeline."""
 import pyarrow as pa
 import pytest
 
@@ -84,17 +85,18 @@ def _collect(ds) -> pa.Table:
 
 
 def test_all_weighted_slots_compose(ray_session, model_paths):
-    """Full distributed chain with every statistical slot registered:
+    """Full chain over Ray Data with every statistical slot registered:
     weighted pos + depparse + coref stages, kbp ensemble with the
-    classifier fallback — produces triples with the flagship schema.
-    The fused chain runs the same registered slots, in-process and in
-    the actor pool (whose stages the driver resolves), so its triples
-    equal the staged path's."""
+    classifier fallback — produces triples with the flagship schema,
+    equal to the same stages called in the driver process. The staged
+    and the fused Ray paths run the same registered slots (the driver
+    resolves and builds the chain the tasks run), so their triples
+    equal the in-process ``FusedDocAnnotator``'s."""
     import ray.data as rd
 
     from corenlp_ray.pipelines import kg as kg_mod
     from corenlp_ray.pipelines import registry
-    from corenlp_ray.pipelines.registry import apply
+    from corenlp_ray.pipelines.registry import Chain, apply, build
     from corenlp_ray.sources.pages import synth_pages_table
 
     saved, saved_paths = registry.registry(), dict(kg_mod._MODEL_PATHS)
@@ -104,28 +106,29 @@ def test_all_weighted_slots_compose(ray_session, model_paths):
             dep_model_path=model_paths["dep"],
             kbp_model_path=model_paths["kbp"],
             coref_model_path=model_paths["coref"])
-        docs = rd.from_arrow(pa.Table.from_pydict(
+        docs = pa.Table.from_pydict(
             {"url": [str(i) for i in range(len(DOCS))],
              "text": list(DOCS)},
             schema=pa.schema([("url", pa.string()),
-                              ("text", pa.string())])))
-        ann = apply(docs, ("lemma", "depparse", "coref"),
-                    distributed=True)
-        t = _collect(kg_mod.extract_triples(ann, distributed=True))
+                              ("text", pa.string())]))
+        names = ("lemma", "depparse", "coref")
+        ann = apply(rd.from_arrow(docs), names)
+        t = _collect(kg_mod.extract_triples(ann))
         assert t.num_rows > 0
         for c in ("url", "subj", "pred", "obj", "confidence", "source"):
             assert c in t.column_names, c
         assert set(t.column("source").to_pylist()) <= {"openie", "kbp"}
+        assert _keys(t) == _keys(
+            Chain(build(names) + [kg_mod.triples_stage()])(docs))
 
         pages = synth_pages_table(n=12, seed=41)
-        staged = _keys(_collect(kg_mod.extract_triples(
-            kg_mod.annotate_pages(rd.from_arrow(pages), distributed=False),
-            distributed=False)))
-        assert staged
-        assert _keys(kg_mod.FusedDocAnnotator()(pages)) == staged
-        pooled = kg_mod.pages_to_triples(rd.from_arrow(pages),
-                                         distributed=True)
-        assert _keys(_collect(pooled)) == staged
+        want = _keys(kg_mod.FusedDocAnnotator()(pages))
+        assert want
+        staged = kg_mod.extract_triples(
+            kg_mod.annotate_pages(rd.from_arrow(pages)))
+        assert _keys(_collect(staged)) == want
+        fused = kg_mod.pages_to_triples(rd.from_arrow(pages))
+        assert _keys(_collect(fused)) == want
     finally:
         for st in saved.values():
             registry.register(st)
@@ -149,8 +152,7 @@ def test_relation_model_property_reaches_extractor(ray_session, tmp_path):
     texts = [_relation_text(i) for i in range(10)]
     docs = pa.Table.from_pydict({"url": [str(i) for i in range(10)],
                                  "text": texts})
-    ann = kg_mod.apply(rd.from_arrow(docs), ("lemma", "ner", "depparse"),
-                       distributed=False)
+    ann = kg_mod.apply(rd.from_arrow(docs), ("lemma", "ner", "depparse"))
     ann = _collect(ann)
     p = str(tmp_path / "relation.json")
     RelationClassifier.distill(ann.to_pylist(), n_iter=2).save(p)
@@ -159,8 +161,7 @@ def test_relation_model_property_reaches_extractor(ray_session, tmp_path):
 
     saved_paths = dict(kg_mod._MODEL_PATHS)
     try:
-        pl = Pipeline("relation", distributed=False,
-                      properties={"relation.model": p})
+        pl = Pipeline("relation", properties={"relation.model": p})
         got = pl.triples(rd.from_arrow(docs)).take_all()
     finally:
         kg_mod._MODEL_PATHS = saved_paths

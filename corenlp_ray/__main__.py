@@ -201,7 +201,7 @@ def _distill_coref_docs(sf_dir: str, limit: int):
                               t.column("text").to_pylist()):
         text = make_page(int(doc_id), filler=filler or "")["text"]
         doc = Document(text or "")
-        doc._need(*Document._transitive("ner"))
+        doc._need("ner")
         r = doc._row
         men = list(zip(r["men_begin"], r["men_end"], r["men_ner"],
                        r["men_norm"]))
@@ -282,7 +282,7 @@ def _train(args) -> dict:
         for words, _tags in _distill_sentences(args.distill_sf_dir,
                                                args.limit_docs):
             d = Document(" ".join(words))
-            d._need(*Document._transitive("depparse"))
+            d._need("depparse")
             trees.extend(parse_tree_batch(d._tbl)
                          .column("parse_tree").to_pylist()[0])
         m = RNTN.distill(trees, n_epochs=args.n_iter)
@@ -307,10 +307,7 @@ def _train(args) -> dict:
                                   t.column("text").to_pylist()):
             text = make_page(int(doc_id), filler=filler or "")["text"]
             d = Document(text or "")
-            d._need(*dict.fromkeys(
-                Document._transitive("lemma")
-                + Document._transitive("ner")
-                + Document._transitive("depparse")))
+            d._need("lemma", "ner", "depparse")
             rows.append({**d._row, "url": str(doc_id)})
         m = RelationClassifier.distill(rows, n_iter=args.n_iter)
         m.save(args.out)

@@ -56,15 +56,13 @@ class Document:
         self._row = self._tbl.to_pylist()[0]
 
     @staticmethod
-    def _transitive(stage: str) -> Tuple[str, ...]:
-        """``stage`` and its prerequisites in chain order, as the
-        registry resolves them; a triple producer (openie, kbp,
-        relation) needs what its extractor reads."""
+    def _transitive(producer: str) -> Tuple[str, ...]:
+        """The stages a triple producer's extractor (openie, kbp,
+        relation) reads from, in chain order. Any other stage is its own
+        request: ``_need`` closes it over its prerequisites."""
         from corenlp_ray.pipelines.kg import PRODUCER_COLUMNS, build
 
-        if stage in PRODUCER_COLUMNS:
-            return tuple(st.name for st in build((), PRODUCER_COLUMNS[stage]))
-        return tuple(st.name for st in build((stage,)))
+        return tuple(st.name for st in build((), PRODUCER_COLUMNS[producer]))
 
     def _ensure_triples(self):
         if self._triples_tbl is not None:
@@ -82,7 +80,7 @@ class Document:
                 for i in range(len(self._row["sent_begin"]))]
 
     def coref_chains(self) -> Dict[int, List[str]]:
-        self._need(*self._transitive("coref"))
+        self._need("coref")
         chains: Dict[int, List[str]] = {}
         r = self._row
         for mi, c in enumerate(r["men_chain"]):
@@ -111,15 +109,10 @@ class Document:
             out.column("obj").to_pylist())}
 
     def sentiments(self) -> List[str]:
-        """Per-sentence 5-class sentiment over projected trees (the
-        SentimentAnnotator slot, stages/sentiment.sentiment_tree)."""
-        self._need(*self._transitive("depparse"))
-        from corenlp_ray.stages.parse_tree import parse_tree_batch
-        from corenlp_ray.stages.sentiment import sentiment_tree
-
-        trees = parse_tree_batch(self._tbl) \
-            .column("parse_tree").to_pylist()[0]
-        return [sentiment_tree(t) for t in trees]
+        """Per-sentence 5-class sentiment (the sentiment_tree stage, so a
+        registered parse or sentiment slot applies)."""
+        self._need("sentiment_tree")
+        return self._row["sent_sentiment_tree"]
 
 
 class Sentence:
@@ -136,23 +129,23 @@ class Sentence:
         return self.doc._row["tok_word"][b:e]
 
     def pos_tags(self) -> List[str]:
-        self.doc._need(*Document._transitive("pos"))
+        self.doc._need("pos")
         b, e = self._span()
         return self.doc._row["tok_pos"][b:e]
 
     def lemmas(self) -> List[str]:
-        self.doc._need(*Document._transitive("lemma"))
+        self.doc._need("lemma")
         b, e = self._span()
         return self.doc._row["tok_lemma"][b:e]
 
     def ner_tags(self) -> List[str]:
-        self.doc._need(*Document._transitive("ner"))
+        self.doc._need("ner")
         b, e = self._span()
         return self.doc._row["tok_ner"][b:e]
 
     def dependencies(self) -> List[Tuple[int, str, int]]:
         """[(head_idx, label, dep_idx)] sentence-local, -1 = root."""
-        self.doc._need(*Document._transitive("depparse"))
+        self.doc._need("depparse")
         b, e = self._span()
         r = self.doc._row
         out = []

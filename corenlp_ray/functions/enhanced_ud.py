@@ -34,6 +34,9 @@ from typing import List, Sequence, Tuple
 
 import pyarrow as pa
 
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col, has
+
 _CORE_PROPAGATE = ("nsubj", "nsubj:pass", "csubj", "csubj:pass",
                    "obj", "iobj")
 _WH_TAGS = {"WP", "WDT", "WP$", "WRB"}
@@ -186,18 +189,16 @@ def enhance_dependencies(words: Sequence[str], tags: Sequence[str],
     return edges
 
 
-def enhanced_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
-    """map_batches stage: + enh_gov/enh_dep/enh_label (flattened edge
-    lists per doc, token indices doc-global). Requires tok_pos,
-    dep_head, dep_label, sent_begin/sent_end; uses tok_lemma if present.
-    Stateless task stage — the kernel is pure Python over thin lists."""
-    from corenlp_ray.stages._cache import col
-
-    names = set(batch.column_names)
+@stage_kernel("enhanced")
+def enhanced_batch(batch: pa.Table, cols: dict) -> pa.Table:
+    """Stage: + enh_gov/enh_dep/enh_label (flattened edge lists per doc,
+    token indices doc-global). Requires tok_pos, dep_head, dep_label,
+    sent_begin/sent_end; uses tok_lemma if upstream. Stateless task
+    stage — the kernel is pure Python over thin lists."""
     words_c = col(batch, "tok_word", cols)
     tags_c = col(batch, "tok_pos", cols)
     lem_c = col(batch, "tok_lemma", cols) \
-        if "tok_lemma" in names else [None] * batch.num_rows
+        if has(batch, "tok_lemma", cols) else [None] * batch.num_rows
     dh_c = col(batch, "dep_head", cols)
     dl_c = col(batch, "dep_label", cols)
     sb_c = col(batch, "sent_begin", cols)
@@ -222,10 +223,5 @@ def enhanced_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
         gov_c.append(govs)
         dep_c.append(deps)
         lab_c.append(labs)
-    return (batch
-            .append_column("enh_gov", pa.array(gov_c,
-                                               type=pa.list_(pa.int32())))
-            .append_column("enh_dep", pa.array(dep_c,
-                                               type=pa.list_(pa.int32())))
-            .append_column("enh_label", pa.array(
-                lab_c, type=pa.list_(pa.string()))))
+    cols.update(enh_gov=gov_c, enh_dep=dep_c, enh_label=lab_c)
+    return batch

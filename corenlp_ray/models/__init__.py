@@ -1,4 +1,4 @@
-"""Trainable model components (weights pinned per actor at inference).
+"""Trainable model components (weights pinned per chain at inference).
 
 The reference ships trained model files for its POS/NER/parse stages;
 this package provides the equivalent trainable infrastructure with

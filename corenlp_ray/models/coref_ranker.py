@@ -26,6 +26,7 @@ import json
 from collections import defaultdict
 from typing import Dict, List, Sequence, Tuple
 
+from corenlp_ray.pipelines.registry import stage_kernel
 from corenlp_ray.stages.coref import (_UF, _gender_of_person, _strip,
                                       coref_batch, finalize_clusters,
                                       resolve_coref, resolve_pronouns)
@@ -210,12 +211,13 @@ class CorefRanker:
 
 
 class StatisticalCoref:
-    """Actor-pool map_batches stage: the coref stage with PINNED ranker
-    weights (loaded once per actor) — swap in via
-    pipelines.kg.register_weighted_models(coref_model_path=...)."""
+    """The coref stage with PINNED ranker weights, loaded once when the
+    chain is built on the driver and shipped with it to its tasks —
+    swap in via pipelines.kg.register_weighted_models(coref_model_path=...)."""
 
     def __init__(self, model_path: str):
         self.ranker = CorefRanker.load(model_path)
 
-    def __call__(self, batch, cols: dict | None = None):
-        return coref_batch(batch, cols, resolve=self.ranker.resolve)
+    @stage_kernel("coref")
+    def __call__(self, batch, cols: dict):
+        return coref_batch(batch, cols=cols, resolve=self.ranker.resolve)

@@ -11,11 +11,11 @@ band (≥ 97.21 on PTB §22-24) requires the licensed Penn Treebank, which
 cannot ship here; the infrastructure is complete, so dropping a treebank
 into ``train`` reproduces the setup. Absent that, ``distill`` trains on
 the deterministic rule cascade's own output (same labels, learned form)
-so the weighted actor-pool inference path is real and exercised.
+so the weighted inference path is real and exercised.
 
 Model = {feature string → {tag → weight}} serialized to JSON; loaded
-once per actor in the stage's ``__init__`` (pinned weights, per the
-north-star contract).
+once in the stage's ``__init__``, when the chain is built on the driver
+(pinned weights, shipped with the chain to its tasks).
 """
 from __future__ import annotations
 

@@ -1,14 +1,15 @@
 """The flagship end-to-end KG-construction pipeline.
 
-pages → extract_text → tokenize+ssplit → pos → lemma → ner → depparse →
-coref → (openie ∪ kbp) triples → canonicalization shuffle → KG store.
+pages → tokenize+ssplit → pos → lemma → ner → depparse → coref →
+(openie ∪ kbp) triples → canonicalization shuffle → KG store.
 
-The annotation chain is not written out here: it is what the stage
-registry resolves for ``ANNOTATE_STAGES`` — cleanxml plus every stage
-the triple extractor's columns need, in registration order. The fused
-chain (``FusedDocAnnotator``), ``annotate_pages`` + ``extract_triples``
-and the simple API all run that resolution as a registry ``Chain``, so
-a slot installed with ``register_weighted_models`` reaches each of them.
+The annotation chain is not written out here: the fused chain
+(``FusedDocAnnotator``) is what the stage registry resolves for the
+columns the triple extractor reads (``TRIPLE_COLUMNS``), in registration
+order. ``annotate_pages``, the CLI and the catalog run
+``ANNOTATE_STAGES``: that plus cleanxml. Each, and the simple API, is a
+registry ``Chain``, so a slot installed with ``register_weighted_models``
+reaches all of them.
 
 Execution shapes (SURVEY §7.3):
   * per-document chain: one ``Chain`` built on the driver, run by the
@@ -24,9 +25,11 @@ from __future__ import annotations
 from dataclasses import replace
 from importlib import import_module
 
+import pyarrow as pa
+
 from corenlp_ray.pipelines.registry import (Chain, Stage, _ncpus, apply,
                                             build, extract, get, launch,
-                                            register)
+                                            register, stage_kernel)
 from corenlp_ray.stages.canonicalize import build_kg, resolve_alias_scale
 from corenlp_ray.stages.coref import coref_batch
 from corenlp_ray.stages.depparse import DepParser
@@ -42,25 +45,32 @@ from corenlp_ray.stages.tokenize import tokenize_ssplit_batch
 
 # ---- the annotator registry (names mirror the reference's canon) ----
 # Registration order is chain order, and the first stage registered with
-# a column is its default provider.
-register(Stage("cleanxml", (), ("text_extracted",), extract_text_batch))
+# a column is its default provider. Each stage declares the Arrow type
+# of every column it provides.
+_STRS, _I32S = pa.list_(pa.string()), pa.list_(pa.int32())
+register(Stage("cleanxml", (), dict(text_extracted=pa.string()),
+               extract_text_batch))
 register(Stage("tokenize", (),
-               ("tok_word", "tok_orig", "tok_begin", "tok_end", "tok_sent",
-                "sent_begin", "sent_end"), tokenize_ssplit_batch))
-register(Stage("pos", ("tok_word",), ("tok_pos",), PosTagger))
-register(Stage("lemma", ("tok_pos",), ("tok_lemma",), lemma_batch))
-register(Stage("ner", ("tok_pos",),
-               ("tok_ner", "men_begin", "men_end", "men_sent", "men_ner",
-                "men_norm"), NerTagger))
-register(Stage("depparse", ("tok_pos",), ("dep_head", "dep_label"),
-               DepParser))
-_COREF_COLUMNS = ("men_chain", "men_canonical", "pron_idx", "pron_canonical")
+               dict(tok_word=_STRS, tok_orig=_STRS, tok_begin=_I32S,
+                    tok_end=_I32S, tok_sent=_I32S, sent_begin=_I32S,
+                    sent_end=_I32S), tokenize_ssplit_batch))
+register(Stage("pos", ("tok_word",), dict(tok_pos=_STRS), PosTagger))
+register(Stage("lemma", ("tok_pos",), dict(tok_lemma=_STRS), lemma_batch))
+_NER_COLUMNS = dict(tok_ner=_STRS, men_begin=_I32S, men_end=_I32S,
+                    men_sent=_I32S, men_ner=_STRS, men_norm=_STRS)
+register(Stage("ner", ("tok_pos",), _NER_COLUMNS, NerTagger))
+register(Stage("depparse", ("tok_pos",),
+               dict(dep_head=_I32S, dep_label=_STRS), DepParser))
+_COREF_COLUMNS = dict(men_chain=_I32S, men_canonical=_STRS, pron_idx=_I32S,
+                      pron_canonical=_STRS)
 register(Stage("coref", ("men_begin", "tok_pos"), _COREF_COLUMNS,
                coref_batch))
 from corenlp_ray.stages.coref import coref_full_batch  # noqa: E402
-# the full sieve stack: an alternative provider, run only when named
-register(Stage("coref.full", ("men_begin", "tok_pos"), _COREF_COLUMNS,
-               coref_full_batch))
+# the full sieve stack: an alternative provider, run only when named;
+# it replaces the mention columns too (all but men_sent)
+_FULL = ("men_begin", "men_end", "men_ner", "men_norm")
+register(Stage("coref.full", ("men_begin", "tok_pos"), {
+    c: _NER_COLUMNS[c] for c in _FULL} | _COREF_COLUMNS, coref_full_batch))
 
 # optional annotators (not in the flagship chain; demand-driven)
 from corenlp_ray.stages.entitylink import entitylink_batch  # noqa: E402
@@ -68,36 +78,40 @@ from corenlp_ray.stages.misc_annotators import (  # noqa: E402
     gender_batch, quote_batch, truecase_batch)
 from corenlp_ray.stages.natlog import natlog_batch  # noqa: E402
 
-register(Stage("natlog", ("dep_head",), ("tok_polarity",), natlog_batch))
-register(Stage("entitylink", ("men_begin",), ("men_link",),
+register(Stage("natlog", ("dep_head",), dict(tok_polarity=_STRS),
+               natlog_batch))
+register(Stage("entitylink", ("men_begin",), dict(men_link=_STRS),
                entitylink_batch))
-register(Stage("gender", ("men_begin",), ("men_gender",), gender_batch))
-register(Stage("truecase", ("tok_word",), ("tok_truecase",),
+register(Stage("gender", ("men_begin",), dict(men_gender=_STRS),
+               gender_batch))
+register(Stage("truecase", ("tok_word",), dict(tok_truecase=_STRS),
                truecase_batch))
 
 from corenlp_ray.functions.enhanced_ud import enhanced_batch  # noqa: E402
 
 register(Stage("enhanced", ("dep_head", "tok_pos"),
-               ("enh_gov", "enh_dep", "enh_label"), enhanced_batch))
+               dict(enh_gov=_I32S, enh_dep=_I32S, enh_label=_STRS),
+               enhanced_batch))
 register(Stage("quote", ("tok_lemma", "men_begin"),
-               ("quo_begin", "quo_text", "quo_speaker"), quote_batch))
+               dict(quo_begin=_I32S, quo_end=_I32S, quo_text=_STRS,
+                    quo_speaker=_STRS, quo_sieve=_STRS), quote_batch))
 
 from corenlp_ray.stages.parse_tree import parse_tree_batch  # noqa: E402
 
-register(Stage("parse", ("tok_pos", "dep_head"), ("parse_tree",),
+register(Stage("parse", ("tok_pos", "dep_head"), dict(parse_tree=_STRS),
                parse_tree_batch))
 
 from corenlp_ray.stages.sentiment import sentiment_tree_batch  # noqa: E402
 
 register(Stage("sentiment_tree", ("parse_tree",),
-               ("sent_sentiment_tree",), sentiment_tree_batch))
+               dict(sent_sentiment_tree=_STRS), sentiment_tree_batch))
 
 # A triple producer's prerequisites: the columns its extractor reads.
 PRODUCER_COLUMNS = {"openie": TRIPLE_COLUMNS, "kbp": TRIPLE_COLUMNS,
                     "relation": RELATION_COLUMNS}
 
-# The flagship annotation chain: cleanxml plus every stage the triple
-# extractor's columns need.
+# The annotation chain callers get back as a table: cleanxml plus every
+# stage the triple extractor's columns need.
 ANNOTATE_STAGES = tuple(st.name for st in build(("cleanxml",),
                                                 TRIPLE_COLUMNS))
 
@@ -152,19 +166,15 @@ class TripleExtractor:
     (a union of two branches would re-execute the whole upstream
     annotation chain once per branch — the lazy-Dataset double-consume
     trap). A chain's last stage: the KBP pattern banks bind once per
-    chain. Both kernels read the ``TRIPLE_COLUMNS`` through one pylist
-    cache, so each column is converted from Arrow once."""
+    chain. Both kernels read the ``TRIPLE_COLUMNS`` from the chain's
+    column store."""
 
     def __init__(self, kbp_classifier_path=None):
         self.kbp = KbpExtractor(classifier_path=kbp_classifier_path
                                 or _MODEL_PATHS.get("kbp"))
 
-    def __call__(self, batch, cols=None):
-        import pyarrow as pa
-
-        # the chain's cache (stages/_cache.py) already holds most of the
-        # columns; the first kernel deposits the rest for the second
-        cols = {} if cols is None else cols
+    @stage_kernel()
+    def __call__(self, batch, cols: dict):
         return pa.concat_tables([openie_batch(batch, cols=cols),
                                  self.kbp(batch, cols=cols)])
 
@@ -194,9 +204,10 @@ def extract_relations(docs_ds):
 
 
 def fused_stages():
-    """The flagship chain: ``ANNOTATE_STAGES`` resolved, then the triple
-    extractor."""
-    return build(ANNOTATE_STAGES) + [triples_stage()]
+    """The flagship chain: the providers of the ``TRIPLE_COLUMNS``, then
+    the triple extractor. No cleanxml: nothing in it reads
+    ``text_extracted`` (tokenize reads ``text``)."""
+    return build((), TRIPLE_COLUMNS) + [triples_stage()]
 
 
 class FusedDocAnnotator(Chain):
@@ -266,7 +277,7 @@ def documents_to_triples(sf_dir: str, pages_per_doc: int | None = None):
                                         "pages_per_doc": pages_per_doc})
 
 
-def _triples_to_kg(triples, num_buckets: int):
+def triples_to_kg(triples, num_buckets: int = 16):
     """The shared KG tail. The triples table is a stage boundary consumed
     twice (alias-map aggregate + dedup shuffle), so it is pinned once in
     the object store (triples ≪ pages, the safe-materialize regime)."""
@@ -290,13 +301,13 @@ def kg_pipeline(pages_ds, num_buckets: int = 16):
     pages_ds = pages_ds.map_batches(
         lambda b: b.filter(pc.equal(b.column("lang"), "en")),
         batch_format="pyarrow")
-    return _triples_to_kg(pages_to_triples(pages_ds), num_buckets)
+    return triples_to_kg(pages_to_triples(pages_ds), num_buckets)
 
 
 def kg_from_documents(sf_dir: str, num_buckets: int = 16,
                       pages_per_doc: int | None = None):
     """Flagship end-to-end: documents.parquet → KG Dataset via the fused
     task map + canonicalization shuffle."""
-    return _triples_to_kg(
+    return triples_to_kg(
         documents_to_triples(sf_dir, pages_per_doc=pages_per_doc),
         num_buckets)

@@ -768,10 +768,9 @@ def q_kg_planted(sf_dir: str):
     template (openie SVO at 1.0; the acquisition shape also fires the
     KBP rule bank: org:subsidiaries + org:parents at 0.9) is
     SQL-computable including support counts across the doc corpus."""
-    from corenlp_ray.stages.canonicalize import build_alias_map, build_kg
+    from corenlp_ray.pipelines.kg import triples_to_kg
 
-    triples = _planted_triples(sf_dir, _openie_text).materialize()
-    kg = build_kg(triples, alias_map=build_alias_map(triples))
+    kg = triples_to_kg(_planted_triples(sf_dir, _openie_text))
     return kg.drop_columns(["subj_bucket"])
 
 
@@ -1246,10 +1245,9 @@ def q_kg_degree_planted(sf_dir: str):
 
     from ray.data.aggregate import Count, Sum
 
-    from corenlp_ray.stages.canonicalize import build_alias_map, build_kg
+    from corenlp_ray.pipelines.kg import triples_to_kg
 
-    triples = _planted_triples(sf_dir, _openie_text).materialize()
-    kg = build_kg(triples, alias_map=build_alias_map(triples))
+    kg = triples_to_kg(_planted_triples(sf_dir, _openie_text))
     out = kg.groupby("subj").aggregate(
         Count(alias_name="out_degree"),
         Sum("support_count", alias_name="total_support"))
@@ -1567,10 +1565,9 @@ def q_pagerank_planted(sf_dir: str):
     import pyarrow.compute as pc
 
     from corenlp_ray.ops.graph import pagerank
-    from corenlp_ray.stages.canonicalize import build_alias_map, build_kg
+    from corenlp_ray.pipelines.kg import triples_to_kg
 
-    triples = _planted_triples(sf_dir, _openie_text).materialize()
-    kg = build_kg(triples, alias_map=build_alias_map(triples))
+    kg = triples_to_kg(_planted_triples(sf_dir, _openie_text))
     out = pagerank(kg, iterations=3, damping=0.85,
                    src_col="subj", dst_col="obj")
 
@@ -1614,10 +1611,9 @@ def q_khop_planted(sf_dir: str):
     true shortest hop count. The oracle's path-enumerating recursive
     CTE + MIN(hops) rollup pins that first-discovery == shortest."""
     from corenlp_ray.ops.graph import khop_reachability
-    from corenlp_ray.stages.canonicalize import build_alias_map, build_kg
+    from corenlp_ray.pipelines.kg import triples_to_kg
 
-    triples = _planted_triples(sf_dir, _openie_text).materialize()
-    kg = build_kg(triples, alias_map=build_alias_map(triples))
+    kg = triples_to_kg(_planted_triples(sf_dir, _openie_text))
     return khop_reachability(kg, k=3, src_col="subj", dst_col="obj")
 
 

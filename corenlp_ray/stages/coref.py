@@ -39,6 +39,9 @@ from typing import Dict, List, Tuple
 
 import pyarrow as pa
 
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col
+
 from corenlp_ray.functions.lexicon import (
     FEMALE_NAMES, FEMALE_PRONOUNS, MALE_NAMES, MALE_PRONOUNS,
     NEUTRAL_PRONOUNS, PERSON_TITLES, PLURAL_PRONOUNS,
@@ -513,16 +516,14 @@ def finalize_clusters(uf, men, surfaces, entity_like,
     return men_chain, men_canonical, pron_idx, pron_canonical
 
 
-def coref_full_batch(batch: pa.Table,
-                     cols: dict | None = None) -> pa.Table:
+@stage_kernel("coref.full")
+def coref_full_batch(batch: pa.Table, cols: dict) -> pa.Table:
     """FULL dcoref configuration: the RuleBasedCorefMentionFinder
     analogue extends men_* with nominal + pronominal mentions, then the
     full sieve stack (speaker, nominal string match, predicate
     nominative, head matches, pronoun match) chains them. REPLACES the
     men_* columns — opt-in; the flagship chain uses ``coref_batch``
     (entity mentions only) so planted outputs stay byte-stable."""
-    from corenlp_ray.stages._cache import col, put
-
     words_col = col(batch, "tok_word", cols)
     tags_col = col(batch, "tok_pos", cols)
     tsent_col = col(batch, "tok_sent", cols)
@@ -546,37 +547,20 @@ def coref_full_batch(batch: pa.Table,
         canon_c.append(canon)
         pidx_c.append(pidx)
         pcan_c.append(pcan)
-    i32 = pa.list_(pa.int32())
-    s = pa.list_(pa.string())
-    out = batch
-    for name in ("men_begin", "men_end", "men_ner", "men_norm",
-                 "men_chain", "men_canonical", "pron_idx",
-                 "pron_canonical"):
-        if name in out.column_names:
-            out = out.drop_columns([name])
-    # the replaced men_* too: a downstream cached reader must not pair
-    # the entity-only mentions with the new canonicals
-    put(cols, men_begin=mb2, men_end=me2, men_ner=mn2, men_norm=mv2,
-        men_chain=chain_c, men_canonical=canon_c, pron_idx=pidx_c,
-        pron_canonical=pcan_c)
-    return (out
-            .append_column("men_begin", pa.array(mb2, type=i32))
-            .append_column("men_end", pa.array(me2, type=i32))
-            .append_column("men_ner", pa.array(mn2, type=s))
-            .append_column("men_norm", pa.array(mv2, type=s))
-            .append_column("men_chain", pa.array(chain_c, type=i32))
-            .append_column("men_canonical", pa.array(canon_c, type=s))
-            .append_column("pron_idx", pa.array(pidx_c, type=i32))
-            .append_column("pron_canonical", pa.array(pcan_c, type=s)))
+    # the replaced men_* too: a downstream reader must not pair the
+    # entity-only mentions with the new canonicals
+    cols.update(men_begin=mb2, men_end=me2, men_ner=mn2, men_norm=mv2,
+                men_chain=chain_c, men_canonical=canon_c, pron_idx=pidx_c,
+                pron_canonical=pcan_c)
+    return batch
 
 
-def coref_batch(batch: pa.Table, cols: dict | None = None,
+@stage_kernel("coref")
+def coref_batch(batch: pa.Table, cols: dict,
                 resolve=resolve_coref) -> pa.Table:
-    """Stateless map_batches stage: + men_chain, men_canonical, pron_idx,
+    """Stateless stage: + men_chain, men_canonical, pron_idx,
     pron_canonical. Requires tok_*, men_* columns. ``resolve`` is the
     per-document kernel (a trained ranker's, models/coref_ranker.py)."""
-    from corenlp_ray.stages._cache import col, put
-
     chain_c, canon_c, pidx_c, pcan_c = [], [], [], []
     words_col = col(batch, "tok_word", cols)
     tags_col = col(batch, "tok_pos", cols)
@@ -593,12 +577,6 @@ def coref_batch(batch: pa.Table, cols: dict | None = None,
         canon_c.append(canon)
         pidx_c.append(pidx)
         pcan_c.append(pcan)
-    put(cols, men_canonical=canon_c, pron_idx=pidx_c,
-        pron_canonical=pcan_c)
-    i32 = pa.list_(pa.int32())
-    s = pa.list_(pa.string())
-    return (batch
-            .append_column("men_chain", pa.array(chain_c, type=i32))
-            .append_column("men_canonical", pa.array(canon_c, type=s))
-            .append_column("pron_idx", pa.array(pidx_c, type=i32))
-            .append_column("pron_canonical", pa.array(pcan_c, type=s)))
+    cols.update(men_chain=chain_c, men_canonical=canon_c, pron_idx=pidx_c,
+                pron_canonical=pcan_c)
+    return batch

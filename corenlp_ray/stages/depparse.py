@@ -28,6 +28,9 @@ from typing import List, Tuple
 
 import pyarrow as pa
 
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col, memo
+
 from corenlp_ray.functions.lexicon import MONTHS
 
 _NOUNISH = {"NN", "NNS", "NNP", "NNPS", "PRP", "CD", "EX", "WP", "DT"}
@@ -984,19 +987,17 @@ def parse_sentence(words: List[str], tags: List[str]) -> Tuple[List[int], List[s
 
 
 class DepParser:
-    """Actor-pool map_batches stage: + dep_head, dep_label (doc-level
-    indices, -1 = root). The weights slot is ``_parse`` (swap in a
-    trained scorer without touching the pipeline)."""
+    """Stage: + dep_head, dep_label (doc-level indices, -1 = root). The
+    weights slot is ``_parse`` (swap in a trained scorer without
+    touching the pipeline)."""
 
     def _parse(self, words, tags):
         """Per-sentence kernel hook (overridden by WeightedDepParser):
         sentence-local heads, -1 = root, and labels."""
         return parse_sentence(words, tags)
 
-    def __call__(self, batch: pa.Table,
-                 cols: dict | None = None) -> pa.Table:
-        from corenlp_ray.stages._cache import col, memo, put
-
+    @stage_kernel("depparse")
+    def __call__(self, batch: pa.Table, cols: dict) -> pa.Table:
         heads_c, labels_c = [], []
         parse = memo(cols, "depparse", self._parse)
         words_col = col(batch, "tok_word", cols)
@@ -1014,27 +1015,21 @@ class DepParser:
                     labels[b + k] = l
             heads_c.append(heads)
             labels_c.append(labels)
-        put(cols, dep_head=heads_c, dep_label=labels_c)
-        return (batch
-                .append_column("dep_head", pa.array(heads_c, type=pa.list_(pa.int32())))
-                .append_column("dep_label", pa.array(labels_c, type=pa.list_(pa.string()))))
+        cols.update(dep_head=heads_c, dep_label=labels_c)
+        return batch
 
 
-def depparse_batch(batch: pa.Table) -> pa.Table:
-    """Stateless-task variant for small/test pipelines."""
-    return DepParser()(batch)
+depparse_batch = DepParser()   # the default stage as a plain callable
 
 
 class WeightedDepParser(DepParser):
-    """Actor-pool stage parsing with TRAINED arc-standard transition
+    """The depparse stage parsing with TRAINED arc-standard transition
     weights (models/transition_parser.py — the nndep-shaped slot): the
-    model JSON loads ONCE per actor in ``__init__`` and stays pinned.
+    model JSON loads once in ``__init__``, when the chain is built on
+    the driver, and ships with the chain to its tasks.
     ``TransitionParser.train`` on a licensed treebank gives the
     reference-band path; ``distill`` learns the rule cascade absent one.
-
-    Use: ds.map_batches(WeightedDepParser,
-                        fn_constructor_kwargs={"model_path": p},
-                        batch_format="pyarrow", concurrency=N)
+    Install it with ``register_weighted_models(dep_model_path=p)``.
     """
 
     def __init__(self, model_path: str):

@@ -9,9 +9,9 @@ mentions taking their normalized value instead
 This engine ships a small deterministic dictionary (the v1 path per
 SURVEY §2.2 row 18) + a deterministic title-casing fallback. The SCALE
 path is the broadcast pattern already used for the alias map: ``ray.put``
-the dict once, fetch per actor; beyond object-store reach, a bucketed
-hash-join of (mention surface) against a dict Dataset on normalized
-form. The stage is an actor-pool class with the dict bound in
+the dict once, fetch it in ``__init__``; beyond object-store reach, a
+bucketed hash-join of (mention surface) against a dict Dataset on
+normalized form. The stage is a class with the dict bound in
 ``__init__`` (the 21M-entry slot).
 
 Adds: men_link list<string> (aligned with men_*).
@@ -21,6 +21,9 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 import pyarrow as pa
+
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col
 
 from corenlp_ray.stages.canonicalize import normalize_surface
 
@@ -65,7 +68,7 @@ def link_of(surface: str, ner: str, normalized: str,
 
 
 class EntityLinker:
-    """Actor-pool map_batches stage: + men_link (requires men_*).
+    """Stage: + men_link (requires men_*).
 
     ``dict_ref``: optional ray.ObjectRef of a large dict to broadcast;
     defaults to the embedded WIKIDICT."""
@@ -78,10 +81,8 @@ class EntityLinker:
         else:
             self.wikidict = WIKIDICT
 
-    def __call__(self, batch: pa.Table,
-                 cols: dict | None = None) -> pa.Table:
-        from corenlp_ray.stages._cache import col
-
+    @stage_kernel("entitylink")
+    def __call__(self, batch: pa.Table, cols: dict) -> pa.Table:
         out = []
         words_col = col(batch, "tok_word", cols)
         mb_col = col(batch, "men_begin", cols)
@@ -96,14 +97,11 @@ class EntityLinker:
                 links.append(link_of(" ".join(words[b:e]), t, nv,
                                      wikidict=self.wikidict) or "")
             out.append(links)
-        return batch.append_column(
-            "men_link", pa.array(out, type=pa.list_(pa.string())))
+        cols["men_link"] = out
+        return batch
 
 
-def entitylink_batch(batch: pa.Table,
-                     cols: dict | None = None) -> pa.Table:
-    """Stateless-task variant."""
-    return EntityLinker()(batch, cols)
+entitylink_batch = EntityLinker()   # the default stage, embedded dict
 
 
 # ---------------------------------------------- real wikidict TSV format ----

@@ -36,6 +36,9 @@ import re
 
 import pyarrow as pa
 
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col
+
 # Elements whose entire content is dropped.
 _DROP_CONTENT = ("script", "style", "head", "noscript", "template", "iframe", "svg")
 
@@ -233,14 +236,13 @@ def extract_doc_attrs_batch(batch: pa.Table) -> pa.Table:
                 type=pa.list_(pa.string()))))
 
 
-def extract_text_batch(batch: pa.Table,
-                       cols: dict | None = None) -> pa.Table:
-    """map_batches stage: pages(url, warc_ts, html, ...) → + text_extracted.
+@stage_kernel("cleanxml")
+def extract_text_batch(batch: pa.Table, cols: dict) -> pa.Table:
+    """Stage: pages(url, warc_ts, html, ...) → + text_extracted.
 
     Stateless task stage (pure function of ``html``); regexes are compiled
-    once per worker process at module import. ``cols`` (the fused chain's
-    pylist cache) is accepted and unused: no later stage reads the output
-    as a list.
+    once per worker process at module import.
     """
-    out = [extract_text(v) for v in batch.column("html").to_pylist()]
-    return batch.append_column("text_extracted", pa.array(out, type=pa.string()))
+    cols["text_extracted"] = [extract_text(v)
+                              for v in col(batch, "html", cols)]
+    return batch

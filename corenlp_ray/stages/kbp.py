@@ -8,8 +8,9 @@ confidence (/root/reference/src/edu/stanford/nlp/pipeline/
 KBPAnnotator.java:36,109-132,402-480,556-654; relation inventory
 ie/KBPRelationExtractor.java:121-170). This engine implements the pattern
 banks as a dependency/lemma rule library (the semgrex-analogue DSL is
-plain predicates over the dep columns); the stage is an actor-pool class
-(pattern banks bind once per actor — the LR-weights slot).
+plain predicates over the dep columns); the extractor is a class whose
+pattern banks bind once, when the chain is built on the driver (the
+LR-weights slot).
 
 Relations emitted (TAC-KBP inventory subset, ~27 of the reference's
 ~45 after the round-2 bank expansion — geo relations split by
@@ -37,6 +38,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import pyarrow as pa
+
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col
 
 from corenlp_ray.functions.tokenpattern import toks_of
 from corenlp_ray.stages.openie import (TRIPLE_COLUMNS, TRIPLES_SCHEMA,
@@ -246,7 +250,7 @@ class KbpSurfaceBank:
     pair's tokens are marked subj/obj (the Subject/Object annotations,
     :95-107), the relation's patterns run over the sentence, and the
     first matching relation wins for that pair (:110-128). Patterns
-    compile once per actor; a per-rule word gate skips sentences without
+    compile once per extractor; a per-rule word gate skips sentences without
     the trigger word (one set lookup instead of a sequence match)."""
 
     def __init__(self, path: Optional[str] = DEFAULT_SURFACE_PATH):
@@ -742,10 +746,12 @@ def _copular_patterns(v, words, tags, ch, men_at, subj_entity, emit):
 
 
 class KbpExtractor:
-    """Actor-pool map_batches stage: docs → triples rows (source='kbp').
+    """Extractor: docs → triples rows (source='kbp').
 
     ``rules_path``: optional extra dep-pattern rule bank (default ships
-    resources/kbp_dep_rules.tsv) — patterns compile ONCE per actor.
+    resources/kbp_dep_rules.tsv) — patterns compile once in
+    ``__init__``, when the chain is built on the driver, and ship with
+    the chain to its tasks.
 
     ``classifier_path``: optional trained KbpClassifier weights
     (models/kbp_classifier.py). Ensemble order mirrors the reference's
@@ -793,12 +799,10 @@ class KbpExtractor:
                             o.type, round(conf, 4)))
         return out
 
-    def __call__(self, batch: pa.Table,
-                 cols: dict | None = None) -> pa.Table:
-        # ``cols``: the chain's pylist cache, shared with openie in the
+    @stage_kernel()
+    def __call__(self, batch: pa.Table, cols: dict) -> pa.Table:
+        # ``cols``: the chain's column store, shared with openie in the
         # fused chain
-        from corenlp_ray.stages._cache import col
-
         cols = {name: col(batch, name, cols)
                 for name in ("url",) + TRIPLE_COLUMNS}
         rows: List[dict] = []

@@ -20,6 +20,9 @@ from typing import List
 
 import pyarrow as pa
 
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col
+
 from corenlp_ray.functions.lexicon import (
     IRREGULAR_NOUN_LEMMA, IRREGULAR_VERB_LEMMA, S_SINGULAR,
 )
@@ -253,14 +256,11 @@ def lemma_of(word: str, pos: str) -> str:
     return lw
 
 
-def lemma_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
-    """Stateless map_batches stage: + tok_lemma (requires tok_pos)."""
-    from corenlp_ray.stages._cache import col, put
-
-    out = []
-    for words, tags in zip(col(batch, "tok_word", cols),
-                           col(batch, "tok_pos", cols)):
-        out.append([lemma_of(w, t) for w, t in zip(words, tags)])
-    put(cols, tok_lemma=out)
-    return batch.append_column(
-        "tok_lemma", pa.array(out, type=pa.list_(pa.string())))
+@stage_kernel("lemma")
+def lemma_batch(batch: pa.Table, cols: dict) -> pa.Table:
+    """Stateless stage: + tok_lemma (requires tok_pos)."""
+    cols["tok_lemma"] = [
+        [lemma_of(w, t) for w, t in zip(words, tags)]
+        for words, tags in zip(col(batch, "tok_word", cols),
+                               col(batch, "tok_pos", cols))]
+    return batch

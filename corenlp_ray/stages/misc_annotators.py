@@ -19,6 +19,9 @@ from typing import List, Optional, Tuple
 
 import pyarrow as pa
 
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col, has
+
 from corenlp_ray.functions.lexicon import (FEMALE_NAMES, LOCATIONS,
                                            MALE_NAMES, ORG_SUFFIXES)
 
@@ -33,11 +36,10 @@ def gender_of(first_name: str) -> str:
     return "UNKNOWN"
 
 
-def gender_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
+@stage_kernel("gender")
+def gender_batch(batch: pa.Table, cols: dict) -> pa.Table:
     """+ men_gender (aligned with men_*): PERSON mentions get first-name
     gender, others UNKNOWN."""
-    from corenlp_ray.stages._cache import col
-
     out = []
     words_col = col(batch, "tok_word", cols)
     mb_col = col(batch, "men_begin", cols)
@@ -46,8 +48,8 @@ def gender_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
         words = words_col[r]
         out.append([gender_of(words[b]) if t == "PERSON" else "UNKNOWN"
                     for b, t in zip(mb_col[r], mn_col[r])])
-    return batch.append_column("men_gender",
-                               pa.array(out, type=pa.list_(pa.string())))
+    cols["men_gender"] = out
+    return batch
 
 
 # ---------------------------------------------------------------- truecase ----
@@ -158,11 +160,10 @@ def truecase_words(words: List[str],
     return out
 
 
-def truecase_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
+@stage_kernel("truecase")
+def truecase_batch(batch: pa.Table, cols: dict) -> pa.Table:
     """+ tok_truecase: restored casing for caseless text (requires tok_*;
     applies the deterministic lexicon + context rules)."""
-    from corenlp_ray.stages._cache import col
-
     out = []
     words_col = col(batch, "tok_word", cols)
     sb_col = col(batch, "sent_begin", cols)
@@ -170,8 +171,8 @@ def truecase_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
         words = words_col[r]
         initials = set(sb_col[r])
         out.append(truecase_words(words, initials))
-    return batch.append_column("tok_truecase",
-                               pa.array(out, type=pa.list_(pa.string())))
+    cols["tok_truecase"] = out
+    return batch
 
 
 # ------------------------------------------------------------------- quote ----
@@ -379,30 +380,30 @@ def attribute_quote_sieves(
     return "", "", ""
 
 
-def quote_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
+@stage_kernel("quote")
+def quote_batch(batch: pa.Table, cols: dict) -> pa.Table:
     """+ quo_begin/quo_end/quo_text/quo_speaker/quo_sieve parallel lists
     per doc (requires tok_*, tok_lemma, men_*).
 
     Attribution runs the deterministic multi-sieve chain
     (``attribute_quote_sieves`` — tri/dep/onename/voc/conv/loose per the
     reference's DEFAULT_QMSIEVES) when the pos/coref/depparse columns are
-    in the batch (the KG chain always carries them), else falls back to
-    the single loose sieve."""
-    from corenlp_ray.stages._cache import col as cached
-
+    upstream (the KG chain always carries them), else falls back to the
+    single loose sieve."""
     qb_c, qe_c, qt_c, qs_c, qv_c = [], [], [], [], []
-    names = set(batch.column_names)
-    full = {"tok_pos", "tok_sent", "men_canonical"} <= names
+    full = all(has(batch, n, cols)
+               for n in ("tok_pos", "tok_sent", "men_canonical"))
 
-    def col(name):
-        return cached(batch, name, cols) if name in names \
+    def opt(name):
+        return col(batch, name, cols) if has(batch, name, cols) \
             else [None] * batch.num_rows
 
-    words_col = col("tok_word")
-    lem_col = col("tok_lemma")
-    mb_col, me_col, mn_col = col("men_begin"), col("men_end"), col("men_ner")
-    pos_col, sent_col = col("tok_pos"), col("tok_sent")
-    if "tok_lemma" not in names and "tok_pos" in names:
+    words_col = col(batch, "tok_word", cols)
+    lem_col = opt("tok_lemma")
+    mb_col, me_col, mn_col = (col(batch, n, cols)
+                              for n in ("men_begin", "men_end", "men_ner"))
+    pos_col, sent_col = opt("tok_pos"), opt("tok_sent")
+    if not has(batch, "tok_lemma", cols) and has(batch, "tok_pos", cols):
         # a chain without the lemma stage (coref alone satisfies the
         # quote requires) fed lemmas=None into the sieves — most paths
         # never dereferenced it, but the PVQ/QVP pronoun checks and the
@@ -413,9 +414,9 @@ def quote_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
         lem_col = [[lemma_of(w, t) for w, t in zip(ws, ts)]
                    if ws is not None else None
                    for ws, ts in zip(words_col, pos_col)]
-    mc_col = col("men_canonical")
-    pi_col, pc_col = col("pron_idx"), col("pron_canonical")
-    dh_col, dl_col = col("dep_head"), col("dep_label")
+    mc_col = opt("men_canonical")
+    pi_col, pc_col = opt("pron_idx"), opt("pron_canonical")
+    dh_col, dl_col = opt("dep_head"), opt("dep_label")
     for r in range(batch.num_rows):
         words, lemmas = words_col[r], lem_col[r]
         mens = list(zip(mb_col[r], me_col[r], mn_col[r]))
@@ -444,11 +445,6 @@ def quote_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
                 qv.append("loose" if got else "")
         qb_c.append(qb); qe_c.append(qe); qt_c.append(qt)
         qs_c.append(qs); qv_c.append(qv)
-    i32 = pa.list_(pa.int32())
-    s = pa.list_(pa.string())
-    return (batch
-            .append_column("quo_begin", pa.array(qb_c, type=i32))
-            .append_column("quo_end", pa.array(qe_c, type=i32))
-            .append_column("quo_text", pa.array(qt_c, type=s))
-            .append_column("quo_speaker", pa.array(qs_c, type=s))
-            .append_column("quo_sieve", pa.array(qv_c, type=s)))
+    cols.update(quo_begin=qb_c, quo_end=qe_c, quo_text=qt_c,
+                quo_speaker=qs_c, quo_sieve=qv_c)
+    return batch

@@ -22,6 +22,9 @@ from typing import List, Tuple
 
 import pyarrow as pa
 
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col
+
 # operator → (restrictor monotonicity, body monotonicity)
 # cf. the reference's OPERATORS table semantics (naturalli/Operator.java)
 OPERATORS = {
@@ -105,9 +108,9 @@ def polarity_sentence(words: List[str], tags: List[str],
     return pol
 
 
-def natlog_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
-    """Stateless map_batches stage: + tok_polarity (requires dep_*)."""
-    from corenlp_ray.stages._cache import col
+@stage_kernel("natlog")
+def natlog_batch(batch: pa.Table, cols: dict) -> pa.Table:
+    """Stateless stage: + tok_polarity (requires dep_*)."""
     from corenlp_ray.stages.openie import local_heads
 
     out = []
@@ -126,5 +129,5 @@ def natlog_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
                                          local_heads(heads, b, e),
                                          labels[b:e])
         out.append(pol)
-    return batch.append_column("tok_polarity",
-                               pa.array(out, type=pa.list_(pa.string())))
+    cols["tok_polarity"] = out
+    return batch

@@ -12,9 +12,9 @@ relative-free dates against the page's ``warc_ts`` docdate (the DocDate
 analogue, pipeline/DocDateAnnotator.java:22).
 
 This engine types entities with deterministic gazetteer + shape + context
-rules over the POS column (the model-swap point is the actor class, same as
-POS). Types: PERSON ORGANIZATION LOCATION MISC DATE NUMBER MONEY PERCENT
-ORDINAL DURATION, O.
+rules over the POS column (the model-swap point is the tagger class's
+``_sentence`` hook, same as POS). Types: PERSON ORGANIZATION LOCATION
+MISC DATE NUMBER MONEY PERCENT ORDINAL DURATION, O.
 
 Adds columns:
   tok_ner   list<string>   per-token type ("O" default)
@@ -31,6 +31,9 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import pyarrow as pa
+
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col, has, memo
 
 from corenlp_ray.functions.lexicon import (
     FEMALE_NAMES, GAZETTEER, LOCATIONS, MALE_NAMES, MONTHS, NUMBER_WORDS,
@@ -379,9 +382,11 @@ def _fmt_date(year, month, day, docdate: Optional[str]) -> str:
 
 
 class NerTagger:
-    """Actor-pool map_batches stage: + tok_ner, men_* columns.
+    """Stage: + tok_ner, men_* columns.
 
-    Gazetteers/dictionaries bind once per actor (the CRF-weights slot)."""
+    Gazetteers/dictionaries bind once in ``__init__``, when the chain is
+    built on the driver, and ship with it to its tasks; the weights slot
+    is the ``_sentence`` hook."""
 
     def __init__(self):
         self.gazetteer = GAZETTEER
@@ -390,21 +395,19 @@ class NerTagger:
         """Per-sentence kernel hook (overridden by WeightedNerTagger)."""
         return ner_sentence(words, tags, docdate)
 
-    def __call__(self, batch: pa.Table,
-                 cols: dict | None = None) -> pa.Table:
-        from corenlp_ray.stages._cache import col, memo, put
-
+    @stage_kernel("ner")
+    def __call__(self, batch: pa.Table, cols: dict) -> pa.Table:
         ner_c, mb_c, me_c, ms_c, mn_c, mv_c = ([] for _ in range(6))
         sentence = memo(cols, "ner", self._sentence)
         # keyed without the docdate where the kernel cannot read it
         dated = memo(cols, "ner.dated", reads_docdate)
-        has_ts = "warc_ts" in batch.column_names
-        ts_col = batch.column("warc_ts").to_pylist() if has_ts else None
+        ts_col = (col(batch, "warc_ts", cols)
+                  if has(batch, "warc_ts", cols) else None)
         # cleanxml docdate (XML-embedded <date>/<datetime> content)
         # outranks the crawl timestamp — CleanXmlAnnotator's
         # DocDateAnnotation feeds SUTime before any metadata fallback
-        xd_col = (batch.column("xml_docdate").to_pylist()
-                  if "xml_docdate" in batch.column_names else None)
+        xd_col = (col(batch, "xml_docdate", cols)
+                  if has(batch, "xml_docdate", cols) else None)
         words_col = col(batch, "tok_word", cols)
         tags_col = col(batch, "tok_pos", cols)
         sb_col = col(batch, "sent_begin", cols)
@@ -450,34 +453,27 @@ class NerTagger:
             ner_c.append(types)
             mb_c.append(mb); me_c.append(me); ms_c.append(ms)
             mn_c.append(mn); mv_c.append(mv)
-        put(cols, men_begin=mb_c, men_end=me_c, men_ner=mn_c,
-            men_norm=mv_c)
-        i32 = pa.list_(pa.int32())
-        s = pa.list_(pa.string())
-        return (batch
-                .append_column("tok_ner", pa.array(ner_c, type=s))
-                .append_column("men_begin", pa.array(mb_c, type=i32))
-                .append_column("men_end", pa.array(me_c, type=i32))
-                .append_column("men_sent", pa.array(ms_c, type=i32))
-                .append_column("men_ner", pa.array(mn_c, type=s))
-                .append_column("men_norm", pa.array(mv_c, type=s)))
+        cols.update(tok_ner=ner_c, men_begin=mb_c, men_end=me_c,
+                    men_sent=ms_c, men_ner=mn_c, men_norm=mv_c)
+        return batch
 
 
 _ENTITY_TYPES = frozenset(("PERSON", "ORGANIZATION", "LOCATION", "MISC"))
 
 
 class WeightedNerTagger(NerTagger):
-    """Actor-pool stage combining a TRAINED sequence model with the
+    """The ner stage combining a TRAINED sequence model with the
     rule-based value annotators, in the reference's NERCombinerAnnotator
     order (NERCombinerAnnotator.java:242-306): the statistical model
     decides the ENTITY types (PERSON/ORG/LOC/MISC — the CRF's job), the
     deterministic numeric/temporal cascade fills the VALUE types
     (DATE/NUMBER/MONEY/...) with their normalizations. The model JSON
-    loads once per actor via register_weighted_models(ner_model_path=…)
-    and dispatches on its ``kind`` marker: "crf" → the linear-chain CRF
-    with Viterbi decoding (models/crf_ner.py — the reference's actual
-    model family, ie/crf/CRFClassifier.java), else the history-feature
-    averaged perceptron (models/perceptron_ner.py). Both are
+    loads once, when the chain is built on the driver
+    (register_weighted_models(ner_model_path=…)), and dispatches on its
+    ``kind`` marker: "crf" → the linear-chain CRF with Viterbi decoding
+    (models/crf_ner.py — the reference's actual model family,
+    ie/crf/CRFClassifier.java), else the history-feature averaged
+    perceptron (models/perceptron_ner.py). Both are
     CoNLL-2003-trainable."""
 
     def __init__(self, model_path: str):
@@ -523,6 +519,4 @@ class WeightedNerTagger(NerTagger):
         return types, mentions
 
 
-def ner_batch(batch: pa.Table) -> pa.Table:
-    """Stateless-task variant for small/test pipelines."""
-    return NerTagger()(batch)
+ner_batch = NerTagger()   # the default stage as a plain callable

@@ -34,6 +34,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import pyarrow as pa
 
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col, memo
+
 _VERB = {"VB", "VBP", "VBZ", "VBD", "VBN", "VBG"}
 _MOD_LABELS = {"amod", "compound", "nummod", "flat", "nmod:poss", "case"}
 
@@ -793,14 +796,13 @@ def sentence_views(row: dict, men_fields: Tuple[str, ...]):
                {k - b: v for k, _, v in pron_s[si]})
 
 
-def openie_batch(batch: pa.Table, cols: dict | None = None) -> pa.Table:
-    """map_batches stage: docs → triples rows (source='openie').
+@stage_kernel()
+def openie_batch(batch: pa.Table, cols: dict) -> pa.Table:
+    """Extractor: docs → triples rows (source='openie').
 
     Requires the ``TRIPLE_COLUMNS``. Explodes rows; output schema is
     TRIPLES_SCHEMA. Stateless, per-sentence parallel. ``cols``: the
-    chain's pylist cache, shared with kbp in the fused chain."""
-    from corenlp_ray.stages._cache import col, memo
-
+    chain's column store, shared with kbp in the fused chain."""
     extract = memo(cols, "openie", extract_sentence_triples)
     cols = {name: col(batch, name, cols)
             for name in ("url",) + TRIPLE_COLUMNS}

@@ -18,6 +18,9 @@ from typing import List
 
 import pyarrow as pa
 
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col
+
 _PHRASE_OF = {
     "NN": "NP", "NNS": "NP", "NNP": "NP", "NNPS": "NP", "PRP": "NP",
     "PRP$": "NP", "WP": "NP", "EX": "NP", "CD": "QP",
@@ -85,28 +88,18 @@ def tree_leaves(tree: str) -> List[str]:
     return [m.group(2) for m in _LEAF_RE.finditer(tree)]
 
 
-class WeightedParseTree:
-    """Actor-pool stage parsing with a TRAINED PCFG
-    (models/pcfg_parser.py — the LexicalizedParser-shaped slot): the
-    grammar JSON loads ONCE per actor. Sentences the grammar can't
-    derive or that exceed the model's max_len fall back to the
-    deterministic projection, mirroring ParserAnnotator's
-    ``parse.maxlen`` flat-tree fallback (ParserAnnotator.java:126).
+class ParseTree:
+    """Stage: + parse_tree (one bracketing per sentence; requires
+    tok_word, tok_pos, dep_head, sent_begin/sent_end). The weights slot
+    is the per-sentence ``_parse`` hook."""
 
-    Use: ds.map_batches(WeightedParseTree,
-                        fn_constructor_kwargs={"model_path": p},
-                        batch_format="pyarrow", concurrency=N)
-    """
+    def _parse(self, words, tags, local_heads) -> str:
+        """Per-sentence kernel hook (overridden by WeightedParseTree):
+        the dependency projection."""
+        return dep_to_constituency(words, tags, local_heads)
 
-    def __init__(self, model_path: str):
-        from corenlp_ray.models.pcfg_parser import PcfgParser
-
-        self.model = PcfgParser.load(model_path)
-
-    def __call__(self, batch: pa.Table,
-                 cols: dict | None = None) -> pa.Table:
-        from corenlp_ray.stages._cache import col
-
+    @stage_kernel("parse")
+    def __call__(self, batch: pa.Table, cols: dict) -> pa.Table:
         out = []
         words_col = col(batch, "tok_word", cols)
         tags_col = col(batch, "tok_pos", cols)
@@ -115,39 +108,33 @@ class WeightedParseTree:
         se_col = col(batch, "sent_end", cols)
         for words, tags, heads, sbs, ses in zip(words_col, tags_col,
                                                 heads_col, sb_col, se_col):
-            trees = []
-            for b, e in zip(sbs, ses):
-                t = self.model.parse(words[b:e], tags[b:e])
-                if t is None:
-                    local = [(h - b) if (h is not None and b <= h < e)
-                             else -1 for h in heads[b:e]]
-                    t = dep_to_constituency(words[b:e], tags[b:e], local)
-                trees.append(t)
-            out.append(trees)
-        return batch.append_column(
-            "parse_tree", pa.array(out, type=pa.list_(pa.string())))
+            out.append([self._parse(
+                words[b:e], tags[b:e],
+                [(h - b) if (h is not None and b <= h < e) else -1
+                 for h in heads[b:e]]) for b, e in zip(sbs, ses)])
+        cols["parse_tree"] = out
+        return batch
 
 
-def parse_tree_batch(batch: pa.Table,
-                     cols: dict | None = None) -> pa.Table:
-    """+ parse_tree (one bracketing per sentence; requires tok_word,
-    tok_pos, dep_head, sent_begin/sent_end)."""
-    from corenlp_ray.stages._cache import col
+parse_tree_batch = ParseTree()   # the default parse stage
 
-    out = []
-    words_col = col(batch, "tok_word", cols)
-    tags_col = col(batch, "tok_pos", cols)
-    heads_col = col(batch, "dep_head", cols)
-    sb_col = col(batch, "sent_begin", cols)
-    se_col = col(batch, "sent_end", cols)
-    for words, tags, heads, sbs, ses in zip(words_col, tags_col,
-                                            heads_col, sb_col, se_col):
-        trees = []
-        for b, e in zip(sbs, ses):
-            local_heads = [(h - b) if (h is not None and h >= b and h < e)
-                           else -1 for h in heads[b:e]]
-            trees.append(dep_to_constituency(words[b:e], tags[b:e],
-                                             local_heads))
-        out.append(trees)
-    return batch.append_column(
-        "parse_tree", pa.array(out, type=pa.list_(pa.string())))
+
+class WeightedParseTree(ParseTree):
+    """The parse stage with a TRAINED PCFG (models/pcfg_parser.py — the
+    LexicalizedParser-shaped slot): the grammar JSON loads once, when
+    the chain is built on the driver, and ships with the chain to its
+    tasks. Sentences the grammar can't derive or that exceed the model's
+    max_len fall back to the deterministic projection, mirroring
+    ParserAnnotator's ``parse.maxlen`` flat-tree fallback
+    (ParserAnnotator.java:126). Install it with
+    ``register_weighted_models(parse_model_path=p)``.
+    """
+
+    def __init__(self, model_path: str):
+        from corenlp_ray.models.pcfg_parser import PcfgParser
+
+        self.model = PcfgParser.load(model_path)
+
+    def _parse(self, words, tags, local_heads) -> str:
+        return (self.model.parse(words, tags)
+                or super()._parse(words, tags, local_heads))

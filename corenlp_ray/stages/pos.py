@@ -6,9 +6,9 @@ inference in tagger/maxent/TestSentence.java:325-341). With no network and
 no shipped model weights, this engine uses a deterministic
 lexicon + shape/suffix + contextual-rule tagger (a compact Brill-style
 cascade) over the PTB tagset. The stage SHAPE is the important parity: a
-stateful actor-pool ``map_batches`` class whose model resources load once
-per actor in ``__init__`` — swap in trained weights without touching the
-pipeline.
+class whose model resources load once in ``__init__`` and whose
+per-sentence ``_tag`` hook is the weights slot — swap in trained weights
+without touching the pipeline.
 
 Adds column: tok_pos list<string>.
 """
@@ -19,6 +19,9 @@ from functools import lru_cache
 from typing import List
 
 import pyarrow as pa
+
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col, memo
 
 from corenlp_ray.functions.lexicon import (
     IRREGULAR_VERB_LEMMA, POS_LEXICON, S_SINGULAR, MONTHS, NUMBER_WORDS,
@@ -338,13 +341,10 @@ def tag_sentence(words: List[str]) -> List[str]:
 
 
 class PosTagger:
-    """Actor-pool map_batches stage: + tok_pos.
-
-    Use: ds.map_batches(PosTagger, batch_format="pyarrow",
-                        concurrency=N, batch_size=B)
-    Model resources bind once per actor in __init__ (the actor-pool stage
-    pattern for all model stages; cf. SURVEY §7.3).
-    """
+    """Stage: + tok_pos. Model resources bind once in ``__init__``, when
+    the chain is built on the driver; the chain is then shipped to the
+    tasks that run it (pipelines/registry.launch). The weights slot is
+    the ``_tag`` hook."""
 
     def __init__(self):
         self.lexicon = POS_LEXICON  # binding point for trained weights
@@ -353,10 +353,8 @@ class PosTagger:
         """Per-sentence kernel hook (overridden by WeightedPosTagger)."""
         return tag_sentence(words)
 
-    def __call__(self, batch: pa.Table,
-                 cols: dict | None = None) -> pa.Table:
-        from corenlp_ray.stages._cache import col, memo, put
-
+    @stage_kernel("pos")
+    def __call__(self, batch: pa.Table, cols: dict) -> pa.Table:
         out = []
         tag = memo(cols, "pos", self._tag)
         words_col = col(batch, "tok_word", cols)
@@ -368,28 +366,22 @@ class PosTagger:
             for b, e in zip(sbs, ses):
                 tags[b:e] = tag(words[b:e])
             out.append(tags)
-        put(cols, tok_pos=out)
-        return batch.append_column(
-            "tok_pos", pa.array(out, type=pa.list_(pa.string())))
+        cols["tok_pos"] = out
+        return batch
 
 
-def pos_batch(batch: pa.Table) -> pa.Table:
-    """Stateless-task variant (same kernel) for small/test pipelines."""
-    return PosTagger()(batch)
+pos_batch = PosTagger()   # the default stage as a plain callable
 
 
 class WeightedPosTagger(PosTagger):
-    """Actor-pool stage tagging with TRAINED averaged-perceptron weights
+    """The pos stage tagging with TRAINED averaged-perceptron weights
     (models/perceptron_tagger.py — the MaxentTagger-shaped slot): the
-    model JSON loads ONCE per actor in ``__init__`` and stays pinned for
-    every batch. Use ``PerceptronTagger.train`` on a licensed treebank
-    for reference-band accuracy, or ``PerceptronTagger.distill`` to
-    learn the deterministic cascade's behavior (same labels, learned
-    form) when no treebank can ship.
-
-    Use: ds.map_batches(WeightedPosTagger,
-                        fn_constructor_kwargs={"model_path": p},
-                        batch_format="pyarrow", concurrency=N)
+    model JSON loads once in ``__init__``, when the chain is built on
+    the driver, and ships with the chain to its tasks. Use
+    ``PerceptronTagger.train`` on a licensed treebank for reference-band
+    accuracy, or ``PerceptronTagger.distill`` to learn the deterministic
+    cascade's behavior (same labels, learned form) when no treebank can
+    ship. Install it with ``register_weighted_models(pos_model_path=p)``.
     """
 
     def __init__(self, model_path: str):

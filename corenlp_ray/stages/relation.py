@@ -15,12 +15,12 @@ LabelValidator rejects type-incompatible predictions
 domains/roth/RothCONLL04Reader.java:66-80 for the Peop/Loc/Org →
 PERSON/LOCATION/ORGANIZATION normalization).
 
-This engine: a stateless ``map_batches`` kernel (``relation_batch``) or
-actor-pool stage (``RelationExtractor`` when a trained model binds).
+This engine: an extractor (``RelationExtractor``; ``relation_batch``
+runs the default one), a chain's last stage.
 Default path is a deterministic cue-lemma cascade gated by the same
 argument-type signatures; the trainable slot is
 models/relation_classifier.py (averaged perceptron over the
-BasicRelationFeatureFactory-shaped features), loaded once per actor.
+BasicRelationFeatureFactory-shaped features), loaded once per chain.
 Kept SEPARATE from the kbp stage exactly like the reference keeps
 ``relation`` out of its default annotator list (superseded by kbp) —
 but present so the full annotator surface exists.
@@ -35,6 +35,9 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import pyarrow as pa
+
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col
 
 from corenlp_ray.models.relation_classifier import (ROTH_ENTITY_TYPES,
                                                     ROTH_SIGNATURES,
@@ -178,10 +181,11 @@ RELATION_COLUMNS = ("tok_word", "tok_pos", "tok_lemma", "sent_begin",
 
 
 class RelationExtractor:
-    """Actor-pool map_batches stage: annotated docs → ACE relation
-    rows. ``model_path`` binds trained RelationClassifier weights once
-    per actor; without it the deterministic cascade runs (same
-    default-vs-trained split as the pos/ner/depparse slots)."""
+    """Extractor: annotated docs → ACE relation rows. ``model_path``
+    binds trained RelationClassifier weights once, when the chain is
+    built on the driver (they ship with the chain to its tasks); without
+    it the deterministic cascade runs (same default-vs-trained split as
+    the pos/ner/depparse slots)."""
 
     def __init__(self, model_path: Optional[str] = None,
                  threshold: float = 0.5):
@@ -193,10 +197,8 @@ class RelationExtractor:
 
             self.classifier = RelationClassifier.load(model_path)
 
-    def __call__(self, batch: pa.Table,
-                 cols: dict | None = None) -> pa.Table:
-        from corenlp_ray.stages._cache import col
-
+    @stage_kernel()
+    def __call__(self, batch: pa.Table, cols: dict) -> pa.Table:
         lists = {name: col(batch, name, cols)
                  for name in ("url",) + RELATION_COLUMNS}
         rows: List[dict] = []

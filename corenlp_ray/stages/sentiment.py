@@ -17,6 +17,9 @@ from typing import List
 
 import pyarrow as pa
 
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col
+
 POSITIVE = {
     "good": 1, "great": 2, "excellent": 2, "amazing": 2, "wonderful": 2,
     "best": 2, "love": 2, "happy": 1, "nice": 1, "fine": 1, "win": 1,
@@ -157,38 +160,40 @@ def sentiment_tree(tree: str) -> str:
     return LABELS[4]
 
 
-def sentiment_tree_batch(batch: pa.Table,
-                         cols: dict | None = None) -> pa.Table:
-    """+ sent_sentiment_tree (requires parse_tree)."""
-    from corenlp_ray.stages._cache import col
+class SentimentTree:
+    """Stage: + sent_sentiment_tree (requires parse_tree). The weights
+    slot is the per-tree ``_label`` hook."""
 
-    out = []
-    for trees in col(batch, "parse_tree", cols):
-        out.append([sentiment_tree(t) for t in trees])
-    return batch.append_column(
-        "sent_sentiment_tree", pa.array(out, type=pa.list_(pa.string())))
+    def _label(self, tree: str) -> str:
+        """Per-sentence kernel hook (overridden by WeightedSentimentTree):
+        the deterministic tree scorer."""
+        return sentiment_tree(tree)
+
+    @stage_kernel("sentiment_tree")
+    def __call__(self, batch: pa.Table, cols: dict) -> pa.Table:
+        cols["sent_sentiment_tree"] = [
+            [self._label(t) for t in trees]
+            for trees in col(batch, "parse_tree", cols)]
+        return batch
 
 
-class WeightedSentimentTree:
-    """Actor-pool map_batches stage: RNTN-scored tree sentiment
-    (models/rntn.py — the SentimentAnnotator's trained path,
-    reference sentiment/SentimentModel.java + SentimentCostAndGradient
-    backprop-through-structure). Weights load ONCE per actor; emits the
-    same sent_sentiment_tree column as the deterministic scorer so the
-    two paths are drop-in swappable via register_weighted_models."""
+sentiment_tree_batch = SentimentTree()   # the default stage
+
+
+class WeightedSentimentTree(SentimentTree):
+    """The sentiment_tree stage scored by an RNTN (models/rntn.py — the
+    SentimentAnnotator's trained path, reference
+    sentiment/SentimentModel.java + SentimentCostAndGradient
+    backprop-through-structure). The weights load once, when the chain
+    is built on the driver, and ship with the chain to its tasks; the
+    stage emits the same sent_sentiment_tree column as the
+    deterministic scorer, so the two are drop-in swappable via
+    register_weighted_models(sentiment_model_path=p)."""
 
     def __init__(self, model_path: str):
         from corenlp_ray.models.rntn import RNTN
 
         self.model = RNTN.load(model_path)
 
-    def __call__(self, batch: pa.Table,
-                 cols: dict | None = None) -> pa.Table:
-        from corenlp_ray.stages._cache import col
-
-        out = []
-        for trees in col(batch, "parse_tree", cols):
-            out.append([self.model.predict_label(t) for t in trees])
-        return batch.append_column(
-            "sent_sentiment_tree",
-            pa.array(out, type=pa.list_(pa.string())))
+    def _label(self, tree: str) -> str:
+        return self.model.predict_label(tree)

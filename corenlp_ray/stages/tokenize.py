@@ -39,6 +39,9 @@ from typing import List, Tuple
 
 import pyarrow as pa
 
+from corenlp_ray.pipelines.registry import stage_kernel
+from corenlp_ray.stages._cache import col
+
 # ---------------------------------------------------------------- lexer ----
 
 _ABBREVS = (
@@ -265,10 +268,11 @@ def ssplit(words: List[str], para_break_before=frozenset()) -> List[Tuple[int, i
 
 # -------------------------------------------------------- batch transform ----
 
+@stage_kernel("tokenize")
 def tokenize_ssplit_batch(batch: pa.Table, text_col: str = "text",
-                          newline_policy: str = "two",
-                          cols: dict | None = None) -> pa.Table:
-    """map_batches stage: + tok_* and sent_* parallel list columns.
+                          newline_policy: str = "two", *,
+                          cols: dict) -> pa.Table:
+    """Stage: + tok_* and sent_* parallel list columns.
 
     Stateless task stage; regexes compile once per worker at import. The
     per-document loop is inherent (tokenization is sequential within a
@@ -281,7 +285,7 @@ def tokenize_ssplit_batch(batch: pa.Table, text_col: str = "text",
     forces a boundary).
     """
     words_c, origs_c, begins_c, ends_c, tsent_c, sb_c, se_c = ([] for _ in range(7))
-    for text in batch.column(text_col).to_pylist():
+    for text in col(batch, text_col, cols):
         text = text or ""
         toks = tokenize(text)
         words = [t[0] for t in toks]
@@ -305,17 +309,7 @@ def tokenize_ssplit_batch(batch: pa.Table, text_col: str = "text",
         tsent_c.append(tok_sent)
         sb_c.append([s[0] for s in sents])
         se_c.append([s[1] for s in sents])
-    if cols is not None:    # fused-chain pylist cache (stages/_cache.py)
-        cols.update(tok_word=words_c, tok_sent=tsent_c,
-                    sent_begin=sb_c, sent_end=se_c)
-    i32 = pa.list_(pa.int32())
-    return (
-        batch
-        .append_column("tok_word", pa.array(words_c, type=pa.list_(pa.string())))
-        .append_column("tok_orig", pa.array(origs_c, type=pa.list_(pa.string())))
-        .append_column("tok_begin", pa.array(begins_c, type=i32))
-        .append_column("tok_end", pa.array(ends_c, type=i32))
-        .append_column("tok_sent", pa.array(tsent_c, type=i32))
-        .append_column("sent_begin", pa.array(sb_c, type=i32))
-        .append_column("sent_end", pa.array(se_c, type=i32))
-    )
+    cols.update(tok_word=words_c, tok_orig=origs_c, tok_begin=begins_c,
+                tok_end=ends_c, tok_sent=tsent_c, sent_begin=sb_c,
+                sent_end=se_c)
+    return batch

@@ -30,7 +30,7 @@ DOCS = [
 
 def _doc_tuple(text):
     d = Document(text)
-    d._need(*Document._transitive("ner"))
+    d._need("ner")
     r = d._row
     men = list(zip(r["men_begin"], r["men_end"], r["men_ner"],
                    r["men_norm"]))
@@ -101,7 +101,7 @@ def test_pinned_weight_actor_stage(distilled):
     _, path, _ = distilled
     stage = StatisticalCoref(model_path=path)
     d = Document(DOCS[0])
-    d._need(*Document._transitive("ner"))
+    d._need("ner")
     tbl = pa.Table.from_pydict({k: [v] for k, v in d._row.items()})
     out = stage(tbl)
     for c in ("men_chain", "men_canonical", "pron_idx",

@@ -198,11 +198,11 @@ def _timeout(*_):
 signal.signal(signal.SIGALRM, _timeout)
 signal.alarm(int(sys.argv[1]))
 ray.init(address="local", num_cpus=1, include_dashboard=False,
-         logging_level="ERROR", log_to_driver=False)
+         logging_level="ERROR", log_to_driver=False, _temp_dir=sys.argv[2])
 try:
     rd.DataContext.get_current().enable_progress_bars = False
     import pyarrow.compute as pc
-    from corenlp_ray.pipelines.kg import (FusedDocAnnotator, _triples_to_kg,
+    from corenlp_ray.pipelines.kg import (FusedDocAnnotator, triples_to_kg,
                                           kg_pipeline)
     from corenlp_ray.sources.pages import synth_pages_table
 
@@ -214,7 +214,7 @@ try:
                            num_buckets=4))
     # the same chain run in this process, then the same KG tail
     en = tbl.filter(pc.equal(tbl.column("lang"), "en"))
-    want = rows(_triples_to_kg(rd.from_arrow(FusedDocAnnotator()(en)), 4))
+    want = rows(triples_to_kg(rd.from_arrow(FusedDocAnnotator()(en)), 4))
     print(json.dumps({"n": len(want), "equal": got == want}))
 finally:
     signal.alarm(0)
@@ -222,33 +222,12 @@ finally:
 """
 
 
-def test_one_cpu_kg_finishes(tmp_path):
+def test_one_cpu_kg_finishes():
     """On a 1-CPU cluster the KG pipeline finishes, and its KG equals the
     one built from the fused chain run in the driver process. A separate
-    driver process with its own 1-CPU cluster, bounded twice: an
-    in-process alarm that shuts Ray down, and a kill of the whole
-    process group as the backstop."""
-    import json
-    import os
-    import signal
-    import subprocess
-    import sys
+    driver process with its own 1-CPU cluster
+    (``conftest.run_bounded``)."""
+    from conftest import run_bounded
 
-    script = tmp_path / "one_cpu_kg.py"
-    script.write_text(_ONE_CPU_KG)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [root, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen([sys.executable, str(script), "90"], env=env,
-                            cwd=root, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True,
-                            start_new_session=True)
-    try:
-        out, err = proc.communicate(timeout=150)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("1-CPU KG driver hung past its own alarm")
-    assert proc.returncode == 0, err[-2000:]
-    res = json.loads(out.strip().splitlines()[-1])
+    res = run_bounded(_ONE_CPU_KG, 150, "1-CPU KG")
     assert res["n"] > 0 and res["equal"]

@@ -13,7 +13,7 @@ from corenlp_ray.sources.pages import CITIES, ORGS, PERSONS, TOPICS
 
 def _mentions(text):
     d = Document(text)
-    d._need(*Document._transitive("ner"))
+    d._need("ner")
     r = d._row
     w = r["tok_word"]
     return [(" ".join(w[b:e]), t, nv)
@@ -63,7 +63,7 @@ def test_quote_plant_full_cross_product():
     for i in range(60):
         P, T = PERSONS[i % 12], TOPICS[i % 5]
         d = Document(_quote_text(i))
-        d._need(*Document._transitive("coref"))
+        d._need("coref")
         tbl = pa.Table.from_pydict({k: [v] for k, v in d._row.items()})
         out = quote_batch(tbl)
         want_quote = QUOTE_PLANTED_TEMPLATES[i % 3][1].format(T=T)
@@ -82,7 +82,7 @@ def test_natlog_plant_full_cross_product():
     for i in range(240):
         _, n_tok, n_down = NATLOG_PLANTED_TEMPLATES[i % 4]
         d = Document(_natlog_text(i))
-        d._need(*Document._transitive("depparse"))
+        d._need("depparse")
         tbl = pa.Table.from_pydict({k: [v] for k, v in d._row.items()})
         pol = natlog_batch(tbl).column("tok_polarity")[0].as_py()
         assert len(pol) == n_tok, (i, _natlog_text(i), pol)
@@ -97,7 +97,7 @@ def test_sentiment_plant_templates():
 
     for text, want in SENTIMENT_PLANTED_TEMPLATES:
         d = Document(text)
-        d._need(*Document._transitive("depparse"))
+        d._need("depparse")
         tbl = pa.Table.from_pydict({k: [v] for k, v in d._row.items()})
         got = sentiment_batch(tbl).column("sent_sentiment")[0].as_py()
         assert got == [want], (text, got)
@@ -115,7 +115,7 @@ def test_linking_plant_full_cross_product():
     for i in range(60):
         P, O, C = PERSONS[i % 12], ORGS[i % 10], CITIES[i % 10]
         d = Document(_linking_text(i))
-        d._need(*Document._transitive("ner"))
+        d._need("ner")
         tbl = gender_batch(entitylink_batch(
             pa.Table.from_pydict({k: [v] for k, v in d._row.items()})))
         words = tbl.column("tok_word")[0].as_py()
@@ -209,7 +209,7 @@ def test_parse_plant_full_cross_product():
 
     for i in range(120):
         d = Document(_parse_text(i))
-        d._need(*Document._transitive("depparse"))
+        d._need("depparse")
         tbl = pa.Table.from_pydict({k: [v] for k, v in d._row.items()})
         got = parse_tree_batch(tbl).column("parse_tree")[0].as_py()
         if i % 2 == 0:

@@ -19,9 +19,7 @@ from corenlp_ray.stages.relation import (RelationExtractor,
                                          classify_pair_rules,
                                          relation_batch)
 
-_STAGES = tuple(dict.fromkeys(
-    Document._transitive("lemma") + Document._transitive("ner")
-    + Document._transitive("depparse")))
+_STAGES = ("lemma", "ner", "depparse")
 
 
 def _annotated_row(text: str) -> dict:

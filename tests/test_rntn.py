@@ -67,7 +67,7 @@ def _projected_trees(texts):
     trees = []
     for text in texts:
         d = Document(text)
-        d._need(*Document._transitive("depparse"))
+        d._need("depparse")
         tbl = parse_tree_batch(d._tbl)
         trees.extend(tbl.column("parse_tree").to_pylist()[0])
     return trees
@@ -103,3 +103,28 @@ def test_weighted_stage_batch(tmp_path):
     assert got[0][0] in LABELS and got[1][0] in LABELS
     assert got[0][0] == sentiment_tree(trees[0])
     assert got[1][0] == sentiment_tree(trees[1])
+
+
+def test_document_sentiments_use_registered_slot(tmp_path):
+    """``Document.sentiments()`` runs the registered sentiment_tree stage:
+    with an RNTN slot that labels praise "Very negative", it equals the
+    chain's ``sent_sentiment_tree`` column, not the rule scorer."""
+    from corenlp_ray.api import Document
+    from corenlp_ray.pipelines import kg, registry
+
+    inverted = ["(0 (0 (0 the) (0 movie)) (0 (0 was) (0 great)))",
+                "(0 (0 it) (0 (0 was) (0 excellent)))"]
+    p = str(tmp_path / "rntn.json")
+    RNTN.train(inverted, d=10, n_epochs=100).save(p)
+    text = "The movie was great."
+    saved = registry.get("sentiment_tree")
+    try:
+        kg.register_weighted_models(sentiment_model_path=p)
+        got = Document(text).sentiments()
+        want = registry.Chain(registry.build(("sentiment_tree",)))(
+            Document(text)._table()).column(
+                "sent_sentiment_tree").to_pylist()[0]
+    finally:
+        registry.register(saved)
+    assert got == want
+    assert got != [sentiment_tree(t) for t in _projected_trees([text])]

@@ -1,17 +1,12 @@
 """``registry.launch`` maps every chain as plain tasks: a Dataset pass
 starts no actor and reserves no CPU, so chained launches finish on a
 small cluster, and the Ray path equals the chain called in-process."""
-import json
-import os
-import signal
-import subprocess
-import sys
+import tempfile
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from conftest import processes_naming, run_bounded
 
 
 def test_documents_to_triples_starts_no_actor(ray_session, tmp_path):
@@ -57,7 +52,7 @@ def _timeout(*_):
 signal.signal(signal.SIGALRM, _timeout)
 signal.alarm(int(sys.argv[1]))
 ray.init(address="local", num_cpus=2, include_dashboard=False,
-         logging_level="ERROR", log_to_driver=False)
+         logging_level="ERROR", log_to_driver=False, _temp_dir=sys.argv[2])
 try:
     rd.DataContext.get_current().enable_progress_bars = False
     from corenlp_ray.pipelines.kg import (FusedDocAnnotator, annotate_pages,
@@ -81,27 +76,51 @@ finally:
 """
 
 
-def test_chained_launch_finishes_on_two_cpus(tmp_path):
+def test_chained_launch_finishes_on_two_cpus():
     """Two chained launches (annotate, then extract) over 8 input
     blocks finish on a 2-CPU cluster and give the in-process fused
     chain's triples. Two actor pools of one CPU each once reserved both
     CPUs there, and the repartition tasks never ran. A separate driver
-    process with its own cluster, bounded by an in-process alarm and,
-    as the backstop, a kill of its process group."""
-    script = tmp_path / "chained.py"
-    script.write_text(_CHAINED)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [ROOT, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen([sys.executable, str(script), "120"], env=env,
-                            cwd=ROOT, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True,
-                            start_new_session=True)
-    try:
-        out, err = proc.communicate(timeout=180)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("chained-launch driver hung past its own alarm")
-    assert proc.returncode == 0, err[-2000:]
-    res = json.loads(out.strip().splitlines()[-1])
+    process with its own cluster (``conftest.run_bounded``)."""
+    res = run_bounded(_CHAINED, 180, "chained launch")
     assert res["n"] > 0 and res["equal"]
+
+
+_HANG = """
+import sys, time
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False, _temp_dir=sys.argv[2])
+
+
+@ray.remote
+def hang():
+    time.sleep(3600)
+
+
+hang.remote()
+time.sleep(3600)
+"""
+
+
+def test_hung_driver_leaves_no_process(monkeypatch):
+    """A driver that hangs on purpose (no alarm, a task that never ends)
+    is killed at the bound together with every process of its cluster:
+    the cluster was up when the bound hit, and afterwards no process
+    names its Ray temp dir."""
+    import conftest
+
+    temp_dir = tempfile.mkdtemp(prefix="rb")
+    seen = []
+
+    def spy(text):
+        seen.append(processes_naming(text))
+        return seen[-1]
+
+    monkeypatch.setattr(conftest, "processes_naming", spy)
+    with pytest.raises(pytest.fail.Exception, match="hung"):
+        run_bounded(_HANG, 45, "hanging driver", temp_dir=temp_dir)
+    monkeypatch.undo()
+    assert len(seen[0]) >= 3     # the driver, raylet, GCS, workers, ...
+    assert processes_naming(temp_dir) == []

@@ -67,8 +67,8 @@ register(Stage("coref", ("men_begin", "tok_pos"), _COREF_COLUMNS,
                coref_batch))
 from corenlp_ray.stages.coref import coref_full_batch  # noqa: E402
 # the full sieve stack: an alternative provider, run only when named;
-# it replaces the mention columns too (all but men_sent)
-_FULL = ("men_begin", "men_end", "men_ner", "men_norm")
+# it replaces the mention columns too
+_FULL = ("men_begin", "men_end", "men_sent", "men_ner", "men_norm")
 register(Stage("coref.full", ("men_begin", "tok_pos"), {
     c: _NER_COLUMNS[c] for c in _FULL} | _COREF_COLUMNS, coref_full_batch))
 

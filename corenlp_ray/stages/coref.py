@@ -531,15 +531,16 @@ def coref_full_batch(batch: pa.Table, cols: dict) -> pa.Table:
     me_col = col(batch, "men_end", cols)
     mn_col = col(batch, "men_ner", cols)
     mv_col = col(batch, "men_norm", cols)
-    mb2, me2, mn2, mv2 = [], [], [], []
+    mb2, me2, ms2, mn2, mv2 = [], [], [], [], []
     chain_c, canon_c, pidx_c, pcan_c = [], [], [], []
     for r in range(batch.num_rows):
+        tsent = tsent_col[r]
         men = list(zip(mb_col[r], me_col[r], mn_col[r], mv_col[r]))
-        men = detect_coref_mentions(words_col[r], tags_col[r],
-                                    tsent_col[r], men)
+        men = detect_coref_mentions(words_col[r], tags_col[r], tsent, men)
         chain, canon, pidx, pcan = resolve_coref(
-            words_col[r], tags_col[r], tsent_col[r], men, full=True)
+            words_col[r], tags_col[r], tsent, men, full=True)
         mb2.append([m[0] for m in men])
+        ms2.append([tsent[m[0]] for m in men])
         me2.append([m[1] for m in men])
         mn2.append([m[2] for m in men])
         mv2.append([m[3] for m in men])
@@ -549,9 +550,9 @@ def coref_full_batch(batch: pa.Table, cols: dict) -> pa.Table:
         pcan_c.append(pcan)
     # the replaced men_* too: a downstream reader must not pair the
     # entity-only mentions with the new canonicals
-    cols.update(men_begin=mb2, men_end=me2, men_ner=mn2, men_norm=mv2,
-                men_chain=chain_c, men_canonical=canon_c, pron_idx=pidx_c,
-                pron_canonical=pcan_c)
+    cols.update(men_begin=mb2, men_end=me2, men_sent=ms2, men_ner=mn2,
+                men_norm=mv2, men_chain=chain_c, men_canonical=canon_c,
+                pron_idx=pidx_c, pron_canonical=pcan_c)
     return batch
 
 

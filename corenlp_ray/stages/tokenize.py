@@ -40,7 +40,7 @@ from typing import List, Tuple
 import pyarrow as pa
 
 from corenlp_ray.pipelines.registry import stage_kernel
-from corenlp_ray.stages._cache import col
+from corenlp_ray.stages._cache import col, memo
 
 # ---------------------------------------------------------------- lexer ----
 
@@ -268,6 +268,78 @@ def ssplit(words: List[str], para_break_before=frozenset()) -> List[Tuple[int, i
 
 # -------------------------------------------------------- batch transform ----
 
+# a whitespace run holding two or more newlines, through its last newline:
+# exactly the token gaps the "two" policy turns into forced breaks. (A gap
+# may also hold lone surrogates, which ``tokenize`` drops; no token holds
+# a newline.) The cut ends at the run's LAST newline, so the next chunk
+# keeps its own left context: a straight quote after "\n\n\x1f" closes.
+_PARA_CUT_RE = re.compile(r"\n[\s\ud800-\udfff]*\n")
+
+
+def _tokenize_paragraph(chunk: str):
+    """One chunk of a text cut at ``_PARA_CUT_RE`` → (words, origs,
+    begins, ends, sentence spans), offsets relative to the chunk. A cut
+    is a forced sentence break and no token or regex context crosses it,
+    so a text's tokens and sentences are its chunks', shifted."""
+    toks = tokenize(chunk)
+    if not toks:
+        return None
+    words, origs, begins, ends = zip(*toks)
+    return words, origs, begins, ends, ssplit(words)
+
+
+def paragraphs(text: str):
+    """``text`` cut at ``_PARA_CUT_RE`` → (start offset, chunk) pairs."""
+    start = 0
+    for end in [m.end() for m in _PARA_CUT_RE.finditer(text)] + [len(text)]:
+        yield start, text[start:end]
+        start = end
+
+
+def _tokenize_paragraphs(text: str, para):
+    """The "two" policy: ``text`` → the seven tok_*/sent_* lists of one
+    row, running ``para`` (the memoized ``_tokenize_paragraph``) once per
+    chunk. Only a chunk that does not start the text has its offsets
+    shifted, in the pass that copies them out."""
+    words, origs, begins, ends, tok_sent, sb, se = ([] for _ in range(7))
+    for start, chunk in paragraphs(text):
+        tokenized = para(chunk)
+        if tokenized is None:
+            continue
+        w, o, b, e, spans = tokenized
+        n0 = len(words)
+        words += w
+        origs += o
+        if start:
+            begins += map(start.__add__, b)
+            ends += map(start.__add__, e)
+        else:
+            begins += b
+            ends += e
+        for si, (sb0, se0) in enumerate(spans, len(sb)):
+            tok_sent += [si] * (se0 - sb0)
+            sb.append(sb0 + n0)
+            se.append(se0 + n0)
+    return words, origs, begins, ends, tok_sent, sb, se
+
+
+def _tokenize_text(text: str, newline_policy: str):
+    """The "never" and "always" policies: one whole-text pass."""
+    toks = tokenize(text)
+    words = [t[0] for t in toks]
+    breaks = set()
+    if newline_policy == "always":
+        breaks = {k for k in range(1, len(toks))
+                  if "\n" in text[toks[k - 1][3]:toks[k][2]]}
+    sents = ssplit(words, breaks)
+    tok_sent = []
+    for si, (b, e) in enumerate(sents):
+        tok_sent += [si] * (e - b)
+    return (words, [t[1] for t in toks], [t[2] for t in toks],
+            [t[3] for t in toks], tok_sent, [s[0] for s in sents],
+            [s[1] for s in sents])
+
+
 @stage_kernel("tokenize")
 def tokenize_ssplit_batch(batch: pa.Table, text_col: str = "text",
                           newline_policy: str = "two", *,
@@ -283,33 +355,30 @@ def tokenize_ssplit_batch(batch: pa.Table, text_col: str = "text",
     "never" (newlines are whitespace), "two" (a blank line forces a
     boundary — the web-page default here), "always" (every newline
     forces a boundary).
+
+    Under "two", each text is cut at its blank-line runs and every
+    distinct chunk (a paragraph) is tokenized once per call through
+    ``_cache.memo``. Web pages repeat paragraphs (navigation, footers,
+    template lines). The share of page characters that sit in a
+    paragraph already seen in the same call, per perfbench workload
+    (``python scripts/sentence_repeats.py``, seed 1):
+
+    =========== ===== ====================
+    workload    calls seen-paragraph chars
+    =========== ===== ====================
+    web_pages      16                45.8%
+    long_pages     14                 0.0%
+    kg_job          8                53.2%
+    =========== ===== ====================
     """
-    words_c, origs_c, begins_c, ends_c, tsent_c, sb_c, se_c = ([] for _ in range(7))
+    columns = [[] for _ in range(7)]
+    para = memo(cols, "tokenize", _tokenize_paragraph)
     for text in col(batch, text_col, cols):
-        text = text or ""
-        toks = tokenize(text)
-        words = [t[0] for t in toks]
-        breaks = set()
-        if newline_policy != "never":
-            for k in range(1, len(toks)):
-                gap = text[toks[k - 1][3]:toks[k][2]]
-                if newline_policy == "always" and "\n" in gap:
-                    breaks.add(k)
-                elif "\n\n" in gap or gap.count("\n") >= 2:
-                    breaks.add(k)
-        sents = ssplit(words, breaks)
-        tok_sent = [0] * len(toks)
-        for si, (b, e) in enumerate(sents):
-            for k in range(b, e):
-                tok_sent[k] = si
-        words_c.append(words)
-        origs_c.append([t[1] for t in toks])
-        begins_c.append([t[2] for t in toks])
-        ends_c.append([t[3] for t in toks])
-        tsent_c.append(tok_sent)
-        sb_c.append([s[0] for s in sents])
-        se_c.append([s[1] for s in sents])
-    cols.update(tok_word=words_c, tok_orig=origs_c, tok_begin=begins_c,
-                tok_end=ends_c, tok_sent=tsent_c, sent_begin=sb_c,
-                sent_end=se_c)
+        row = (_tokenize_paragraphs(text or "", para)
+               if newline_policy == "two"
+               else _tokenize_text(text or "", newline_policy))
+        for c, v in zip(columns, row):
+            c.append(v)
+    cols.update(zip(("tok_word", "tok_orig", "tok_begin", "tok_end",
+                     "tok_sent", "sent_begin", "sent_end"), columns))
     return batch

@@ -10,8 +10,11 @@ Each workload's inputs are cut into the calls its engine path makes:
 
 Every call runs the fused chain with a fresh ``cols`` cache. The table
 gives calls, sentences, distinct sentences (the sum over calls of the
-distinct word sequences in each call) and, per memo, the hit rate:
-the share of that stage's kernel calls answered from the memo.
+distinct word sequences in each call), the share of page characters
+that sit in a paragraph already seen in the same call (the text the
+tokenize memo skips; paragraphs are the chunks between blank-line
+runs) and, per memo, the hit rate: the share of that stage's kernel
+calls answered from the memo.
 
 Run from the repository root:
     python scripts/sentence_repeats.py
@@ -66,19 +69,37 @@ def kg_calls(block_docs: int = 63):
                              corpus.KG_PAGES_PER_DOC)
 
 
+def seen_chars(texts) -> tuple:
+    """→ (characters, characters in paragraphs seen earlier in ``texts``)."""
+    from corenlp_ray.stages.tokenize import paragraphs
+
+    seen, total, repeated = set(), 0, 0
+    for text in texts:
+        for _, chunk in paragraphs(text):
+            total += len(chunk)
+            if chunk in seen:
+                repeated += len(chunk)
+            seen.add(chunk)
+    return total, repeated
+
+
 def count(annotate, calls):
-    """→ (calls, sentences, distinct, {memo: kernel runs})."""
-    n_calls = sentences = 0
+    """→ (calls, sentences, distinct, repeated char share,
+    {memo: kernel runs})."""
+    n_calls = sentences = chars = repeated = 0
     runs = dict.fromkeys(MEMOS, 0)
     for pages in calls:
         cols: dict = {}
         annotate(pages, cols=cols)
         n_calls += 1
         sentences += sum(len(s) for s in cols["sent_begin"])
+        c, r = seen_chars(t or "" for t in pages.column("text").to_pylist())
+        chars += c
+        repeated += r
         for key, memo in cols.items():
             if isinstance(key, tuple) and key[0] in runs:
                 runs[key[0]] += memo.cache_info().misses
-    return n_calls, sentences, runs["pos"], runs
+    return n_calls, sentences, runs["pos"], repeated / max(chars, 1), runs
 
 
 def main(argv=None) -> None:
@@ -96,15 +117,17 @@ def main(argv=None) -> None:
                  "long_pages": long_calls(args.seed),
                  "kg_job": kg_calls()}
     print("| workload | calls | sentences | distinct | repeat share | "
+          "seen-paragraph chars | "
           + " | ".join(f"{m} hit" for m in MEMOS) + " |")
-    print("|---" * (5 + len(MEMOS)) + "|")
+    print("|---" * (6 + len(MEMOS)) + "|")
     for name, calls in workloads.items():
-        n, sentences, distinct, runs = count(annotate, calls)
+        n, sentences, distinct, seen, runs = count(annotate, calls)
         hits = " | ".join("%.1f%%" % (100 * (1 - runs[m] / sentences))
                           for m in MEMOS)
-        print("| %s | %d | %s | %s | %.1f%% | %s |"
+        print("| %s | %d | %s | %s | %.1f%% | %.1f%% | %s |"
               % (name, n, f"{sentences:,}", f"{distinct:,}",
-                 100 * (1 - distinct / sentences), hits), flush=True)
+                 100 * (1 - distinct / sentences), 100 * seen, hits),
+              flush=True)
 
 
 if __name__ == "__main__":

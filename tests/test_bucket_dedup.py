@@ -1,0 +1,121 @@
+"""The KG dedup is ONE aggregate grouped by subject bucket: the combiner
+tags its partial rows with their bucket, and each bucket's rows merge by
+an Arrow ``group_by`` (max confidence, summed support, min url). The
+result must equal one ``group_by`` over all partial rows, whatever the
+block split and the bucket count."""
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import pytest
+import ray.data as rd
+
+from corenlp_ray.stages import canonicalize as cz
+from corenlp_ray.stages.canonicalize import (KG_SCHEMA, build_kg,
+                                             normalize_surface, subj_bucket,
+                                             write_kg)
+
+_TRIPLES = pa.schema([
+    ("url", pa.string()), ("subj_canonical", pa.string()),
+    ("pred", pa.string()), ("obj_canonical", pa.string()),
+    ("confidence", pa.float64()),
+])
+N_SUBJECTS = 40
+
+
+def _blocks(n_blocks: int = 4):
+    """Triples in ``n_blocks`` blocks; the two hot triples sit in every
+    block, cold ones spread over 40 subjects."""
+    blocks = []
+    for k in range(n_blocks):
+        rows = []
+        for i in range(300):
+            if i % 3 == 0:
+                s, p, o = "Barack Obama", "per:title", "president"
+            elif i % 5 == 0:
+                s, p, o = "the Barack Obama", "per:title", "president"
+            else:
+                s, p, o = f"Subj {i % N_SUBJECTS}", "rel", f"Obj {i % 7}"
+            rows.append({"url": f"u{(7 * i + k) % 97:02d}",
+                         "subj_canonical": s, "pred": p, "obj_canonical": o,
+                         "confidence": ((i * 13 + k) % 100) / 100})
+        blocks.append(pa.Table.from_pylist(rows, schema=_TRIPLES))
+    return blocks
+
+
+def _one_group_by(partials: pa.Table, num_buckets: int) -> list:
+    """The reference: one Arrow group_by over all partial rows."""
+    agg = partials.group_by(["subj", "pred", "obj"]).aggregate(
+        [("confidence", "max"), ("support_count", "sum"),
+         ("example_url", "min")])
+    return sorted(zip(agg["subj"].to_pylist(), agg["pred"].to_pylist(),
+                      agg["obj"].to_pylist(),
+                      agg["confidence_max"].to_pylist(),
+                      agg["support_count_sum"].to_pylist(),
+                      agg["example_url_min"].to_pylist(),
+                      [subj_bucket(s, num_buckets)
+                       for s in agg["subj"].to_pylist()]))
+
+
+def _rows(ds) -> list:
+    t = pa.concat_tables(ds.iter_batches(batch_size=None,
+                                         batch_format="pyarrow"))
+    assert t.schema == KG_SCHEMA
+    return sorted(zip(*(t[c].to_pylist() for c in KG_SCHEMA.names)))
+
+
+# the last count exceeds the number of subjects (41)
+@pytest.mark.parametrize("num_buckets", [1, 16, 10 * N_SUBJECTS])
+@pytest.mark.parametrize("aliased", [False, True], ids=["plain", "alias"])
+def test_bucket_dedup_equals_one_group_by(ray_session, num_buckets,
+                                          aliased):
+    blocks = _blocks()
+    ds = rd.from_arrow(blocks)
+    assert ds.materialize().num_blocks() >= 3
+    alias = {normalize_surface("Barack Obama"): "Barack Obama"} \
+        if aliased else None
+    resolver = cz.ResolveAliases(None, num_buckets)
+    resolver.aliases = alias or {}
+    partials = pa.concat_tables(resolver(b) for b in blocks)
+    assert partials.column_names[-1] == "subj_bucket"
+    hot = pc.equal(partials["subj"], "Barack Obama")
+    assert pc.sum(hot.cast(pa.int64())).as_py() >= 3   # one per block
+    got = _rows(build_kg(ds, alias_map=alias, num_buckets=num_buckets))
+    assert got == _one_group_by(partials, num_buckets)
+
+
+def test_empty_triples_give_an_empty_kg(ray_session, tmp_path):
+    empty = rd.from_arrow(_TRIPLES.empty_table())
+    for alias in (None, {}):
+        kg = build_kg(empty, alias_map=alias)
+        assert kg.count() == 0
+        out = tmp_path / f"kg_{alias is None}"
+        write_kg(kg, str(out))
+        # Ray writes no file for a dataset without rows
+        if out.exists() and any(out.rglob("*.parquet")):
+            assert pq.read_table(str(out)).num_rows == 0
+    # the bucket expansion of an empty aggregate output is KG_SCHEMA
+    none = pa.table({"subj_bucket": pa.array([], pa.int64()),
+                     cz._KG_CELL: pa.array([], pa.binary())})
+    assert cz._expand_buckets(none).schema == KG_SCHEMA
+
+
+def test_alias_path_normalizes_each_distinct_surface_once(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return normalize_surface(s)
+
+    monkeypatch.setattr(cz, "normalize_surface", counting)
+    t = pa.concat_tables(_blocks(2))   # subject and object surfaces differ
+    distinct = set(t["subj_canonical"].to_pylist()
+                   + t["obj_canonical"].to_pylist())
+    for run in (cz._surface_partial_counts, cz._norm_cols_batch):
+        calls.clear()
+        run(t)
+        assert sorted(calls) == sorted(distinct)
+    resolver = cz.ResolveAliases(None)
+    resolver.aliases = {}
+    calls.clear()
+    resolver.resolve(t)
+    assert sorted(calls) == sorted(distinct)

@@ -49,7 +49,8 @@ def test_chain_appends_declared_columns_once():
         types.update(st.provides)
     for name, typ in types.items():
         assert out.schema.field(name).type == typ, name
-    assert out.column_names[-8:] == list(kg.get("coref.full").provides)
+    full = list(kg.get("coref.full").provides)
+    assert out.column_names[-len(full):] == full
 
 
 def _doc(text: str) -> pa.Table:

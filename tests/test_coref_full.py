@@ -87,3 +87,21 @@ def test_dcoref_sample_band():
     P, R, F, n = b_cubed(gold, pred)
     assert n >= 10, (n, F)
     assert F >= 0.60, (n, F)
+
+
+def test_full_mention_columns_stay_aligned():
+    """coref.full replaces the mention list, men_sent included: every
+    men_* list of a row has the same length, and each mention's sentence
+    is the sentence of its first token."""
+    import corenlp_ray.pipelines.kg  # noqa: F401  (registers coref.full)
+    from corenlp_ray.pipelines.registry import Chain, build
+    from corenlp_ray.sources.pages import synth_pages_table
+
+    out = Chain(build(("coref.full",)))(synth_pages_table(n=6, seed=2))
+    names = [c for c in out.column_names if c.startswith("men_")]
+    assert {"men_begin", "men_sent", "men_chain"} <= set(names)
+    rows = out.select(names + ["tok_sent"]).to_pylist()
+    assert any(len(r["men_begin"]) > 0 for r in rows)
+    for r in rows:
+        assert len({len(r[c]) for c in names}) == 1, r
+        assert r["men_sent"] == [r["tok_sent"][b] for b in r["men_begin"]]

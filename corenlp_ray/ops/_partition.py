@@ -14,10 +14,31 @@ satisfies both; results never depend on which partition a key lands in.
 """
 from __future__ import annotations
 
+import sys
 import zlib
 from typing import Sequence
 
 import pyarrow as pa
+
+
+def import_polars():
+    """The ``polars`` module, imported so that an interrupted import
+    cannot poison the process. Ray Data cancels the running tasks of an
+    execution that stops early (``ds.schema()`` runs ``limit(1)``) by
+    raising KeyboardInterrupt in their workers. One that lands inside the
+    first ``import polars`` leaves half-initialized polars submodules in
+    ``sys.modules``, and every later import in that worker returns a
+    polars whose submodules point at the dead module (``module 'polars'
+    has no attribute 'Series'``). The half import is dropped instead, so
+    the next import starts clean."""
+    try:
+        import polars
+    except BaseException:
+        for name in [m for m in sys.modules
+                     if m == "polars" or m.startswith("polars.")]:
+            del sys.modules[name]
+        raise
+    return polars
 
 
 def fixed_pool(divisor: int = 2, floor: int = 2) -> int:
@@ -35,14 +56,24 @@ def fixed_pool(divisor: int = 2, floor: int = 2) -> int:
         return max(floor, 4 // divisor)
 
 
+def coarse_partitions() -> int:
+    """Fan-out of a coarse-partitioned groupby: ~4 partitions per CPU,
+    so every CPU has work while each partition stays large."""
+    try:
+        import ray
+
+        return max(8, 4 * int(ray.cluster_resources().get("CPU", 4)))
+    except Exception:
+        return 16
+
+
 def partition_codes(batch: pa.Table, cols: Sequence[str],
                     npart: int) -> pa.Array:
     """int32 partition id per row: hash(key columns) % npart, vectorized."""
     if batch.num_rows == 0:
         return pa.array([], type=pa.int32())
     try:
-        import polars as pl
-
+        pl = import_polars()
         h = pl.from_arrow(batch.select(list(cols))).hash_rows(seed=0)
         arr = (h % npart).cast(pl.Int32).to_arrow()
         return arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr

@@ -25,6 +25,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from corenlp_ray.ops._partition import coarse_partitions
 from corenlp_ray.ops.textstats import fingerprint_batch
 
 _MERSENNE = (1 << 61) - 1
@@ -212,15 +213,6 @@ def _minhash_bands_batch(batch: pa.Table, num_perm: int, bands: int,
                           ("doc_id", pa.int64())]))
 
 
-def _npartitions() -> int:
-    try:
-        import ray
-
-        return max(8, 4 * int(ray.cluster_resources().get("CPU", 4)))
-    except Exception:
-        return 16
-
-
 def _add_partition(batch: pa.Table, cols, npart: int) -> pa.Table:
     from corenlp_ray.ops._partition import add_partition_column
 
@@ -237,7 +229,7 @@ def partitioned_group_apply(ds, key_cols, inner, npart=None,
     ``inner_is_partition=True`` hands ``inner`` the WHOLE partition frame
     (sans ``_part``) instead of one frame per key group — for kernels
     that vectorize across groups themselves (e.g. sessionization)."""
-    npart = npart or _npartitions()
+    npart = npart or coarse_partitions()
     parted = ds.map_batches(lambda b: _add_partition(b, key_cols, npart),
                             batch_format="pyarrow")
 
@@ -401,7 +393,7 @@ def minhash_verified_edges(docs_ds, num_perm: int = 64, bands: int = 16,
     # overhead for small corpora (the count is metadata — sigs is
     # materialized); large corpora keep the full width
     n_docs = sigs.count()
-    npart = min(_npartitions(), max(8, n_docs // 500))
+    npart = min(coarse_partitions(), max(8, n_docs // 500))
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=np.int64)
@@ -603,7 +595,7 @@ def ngram_jaccard_pairs(docs_ds, num_perm: int = 64, bands: int = 16,
     # (tiny corpora stop paying 4×CPU-way task overhead per all-to-all).
     pairs = (minhash_lsh_pairs(docs_ds, num_perm, bands, k)
              .select_columns(["doc_a", "doc_b"]).materialize())
-    npart = min(_npartitions(), max(8, pairs.count() // 200))
+    npart = min(coarse_partitions(), max(8, pairs.count() // 200))
     texts = docs_ds.select_columns(["doc_id", "text"])
     j = _attach_pair_columns(pairs, texts,
                              {"doc_id": "doc_a", "text": "text_a"},
@@ -1082,7 +1074,7 @@ def paragraph_dedup(docs_ds, sep: str = "\n\n"):
     the texts. No per-group Python calls, no driver materialization."""
     import polars as pl
 
-    npart = _npartitions()
+    npart = coarse_partitions()
 
     def explode(batch: pa.Table) -> pa.Table:
         df = pl.DataFrame({
@@ -1158,7 +1150,7 @@ def incremental_dedup(new_ds, prior_ds):
 
     from corenlp_ray.ops._partition import add_partition_column
 
-    npart = _npartitions()
+    npart = coarse_partitions()
 
     def thin_new(batch: pa.Table) -> pa.Table:
         b = fingerprint_batch(batch).select(["doc_id", "text_hash"])

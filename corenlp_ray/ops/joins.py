@@ -21,7 +21,7 @@ from typing import List, Sequence
 import pandas as pd
 import pyarrow as pa
 
-from corenlp_ray.ops._partition import partition_codes
+from corenlp_ray.ops._partition import import_polars, partition_codes
 
 
 def _npart() -> int:
@@ -188,8 +188,7 @@ def bucketed_hash_join(left_ds, right_ds, on: Sequence[str] | str,
                    if c in right_cols and c not in on]
 
         def _side_frame(df, side: int, cols, base):
-            import polars as pl
-
+            pl = import_polars()
             f = df.filter(pl.col("_side") == side)
             missing = [c for c in cols if c not in f.columns]
             if missing:
@@ -207,8 +206,7 @@ def bucketed_hash_join(left_ds, right_ds, on: Sequence[str] | str,
             return f.select(list(cols))
 
         def merge(part: pa.Table) -> pa.Table:
-            import polars as pl
-
+            pl = import_polars()
             df = pl.from_arrow(part)
             lhs = _side_frame(df, 0, left_cols, lbase)
             rhs = _side_frame(df, 1, right_cols, rbase)
@@ -383,8 +381,7 @@ def _filter_join(left_ds, right_ds, on, keep_matched: bool,
         batch_format="pyarrow")
     # right side thins to DISTINCT keys per batch before the shuffle
     def thin(b: pa.Table) -> pa.Table:
-        import polars as pl
-
+        pl = import_polars()
         t = pl.from_arrow(b.select(keys)).unique().to_arrow()
         return _tag_and_bucket(t, 1, keys, npart)
 
@@ -394,8 +391,7 @@ def _filter_join(left_ds, right_ds, on, keep_matched: bool,
     # pandas blocks here cost ~50x in block-format overhead (object
     # dtypes + per-column size estimation), measured on TPC-H Q4
     def pick(part: pa.Table) -> pa.Table:
-        import polars as pl
-
+        pl = import_polars()
         df = pl.from_arrow(part)
         lhs = df.filter(pl.col("_side") == 0)
         missing = [c for c in left_cols if c not in lhs.columns]

@@ -285,8 +285,8 @@ def triples_to_kg(triples, num_buckets: int = 16):
     # wide phases — groupby fan-out scales with block count, and triples
     # rows are tiny relative to the pages they came from
     triples = triples.repartition(_ncpus()).materialize()
-    # broadcast dict below ALIAS_VOCAB_BROADCAST_MAX surface forms, fully
-    # distributed argmax + bucketed-join rewrite above it
+    # broadcast dict up to ALIAS_VOCAB_BROADCAST_MAX norms, bucketed-join
+    # rewrite against the same per-bucket canonical picks above it
     alias, triples = resolve_alias_scale(triples)
     return build_kg(triples, alias_map=alias, num_buckets=num_buckets)
 

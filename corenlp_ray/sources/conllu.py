@@ -14,6 +14,8 @@ from typing import Dict, List
 
 import pyarrow as pa
 
+from corenlp_ray.sources.outputters import write_sharded
+
 DOC_SCHEMA = pa.schema([
     ("url", pa.string()),
     ("text", pa.string()),
@@ -113,19 +115,4 @@ def to_conllu(row: Dict) -> str:
 
 def write_conllu(docs_ds, path: str):
     """Dataset sink: one .conllu part file per block (streaming)."""
-    import os
-
-    os.makedirs(path, exist_ok=True)
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        import uuid
-
-        rows = batch.to_pylist()
-        body = "".join(to_conllu(r) for r in rows)
-        name = os.path.join(path, f"part-{uuid.uuid4().hex}.conllu")
-        with open(name, "w") as f:
-            f.write(body)
-        return pa.Table.from_pydict({"file": [name],
-                                     "docs": [len(rows)]})
-
-    return docs_ds.map_batches(write_block, batch_format="pyarrow")
+    return write_sharded(docs_ds, path, "conllu", to_conllu)

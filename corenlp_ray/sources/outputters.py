@@ -7,9 +7,29 @@ reference user can diff outputs shape-for-shape.
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from typing import Dict
 
 import pyarrow as pa
+
+
+def write_sharded(docs_ds, path: str, ext: str, render_row, mode="w"):
+    """Dataset sink: one ``part-<uuid>.<ext>`` file per block under
+    ``path`` (streaming and resumable, never one giant file), holding
+    ``render_row`` of each row in order (``mode="wb"`` for bytes). →
+    Dataset of (file, docs), one row per written file."""
+    os.makedirs(path, exist_ok=True)
+
+    def write_block(batch: pa.Table) -> pa.Table:
+        rows = batch.to_pylist()
+        name = os.path.join(path, f"part-{uuid.uuid4().hex}.{ext}")
+        with open(name, mode) as f:
+            for r in rows:
+                f.write(render_row(r))
+        return pa.table({"file": [name], "docs": [len(rows)]})
+
+    return docs_ds.map_batches(write_block, batch_format="pyarrow")
 
 
 def doc_to_json(row: Dict, triples=None) -> Dict:
@@ -82,20 +102,8 @@ def doc_to_json(row: Dict, triples=None) -> Dict:
 
 def write_json(docs_ds, path: str):
     """Dataset sink: one .jsonl part per block (one JSON doc per line)."""
-    import os
-    import uuid
-
-    os.makedirs(path, exist_ok=True)
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        rows = batch.to_pylist()
-        name = os.path.join(path, f"part-{uuid.uuid4().hex}.jsonl")
-        with open(name, "w") as f:
-            for r in rows:
-                f.write(json.dumps(doc_to_json(r)) + "\n")
-        return pa.Table.from_pydict({"file": [name], "docs": [len(rows)]})
-
-    return docs_ds.map_batches(write_block, batch_format="pyarrow")
+    return write_sharded(docs_ds, path, "jsonl",
+                         lambda r: json.dumps(doc_to_json(r)) + "\n")
 
 
 def doc_to_text(row: Dict) -> str:
@@ -141,24 +149,8 @@ def doc_to_conll(row: Dict) -> str:
 
 
 def write_conll(docs_ds, path: str):
-    """Distributed CoNLL sink: one .conll file per block under
-    ``path`` (same sharding pattern as write_json)."""
-    import os
-
-    os.makedirs(path, exist_ok=True)
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        import uuid
-
-        rows = batch.to_pylist()
-        name = os.path.join(path, f"part-{uuid.uuid4().hex[:12]}.conll")
-        with open(name, "w") as f:
-            for r in rows:
-                f.write(doc_to_conll(r))
-        return pa.Table.from_pydict({"file": [name],
-                                     "docs": [len(rows)]})
-
-    return docs_ds.map_batches(write_block, batch_format="pyarrow")
+    """Distributed CoNLL sink: one .conll file per block under ``path``."""
+    return write_sharded(docs_ds, path, "conll", doc_to_conll)
 
 
 def doc_to_xml(row: Dict, triples=None) -> str:
@@ -285,25 +277,8 @@ def doc_to_tagged(row: Dict) -> str:
 
 
 def write_xml(docs_ds, path: str):
-    """Distributed XML sink: one .xml file per block under ``path``
-    (same sharding pattern as write_json/write_conll — resumable,
-    never one giant file)."""
-    import os
-
-    os.makedirs(path, exist_ok=True)
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        import uuid
-
-        rows = batch.to_pylist()
-        name = os.path.join(path, f"part-{uuid.uuid4().hex[:12]}.xml")
-        with open(name, "w") as f:
-            for r in rows:
-                f.write(doc_to_xml(r))
-        return pa.Table.from_pydict({"file": [name],
-                                     "docs": [len(rows)]})
-
-    return docs_ds.map_batches(write_block, batch_format="pyarrow")
+    """Distributed XML sink: one .xml file per block under ``path``."""
+    return write_sharded(docs_ds, path, "xml", doc_to_xml)
 
 
 def doc_to_inline_xml(row: Dict) -> str:
@@ -336,21 +311,6 @@ def doc_to_inline_xml(row: Dict) -> str:
 
 
 def write_text(docs_ds, path: str):
-    """Distributed TEXT sink (TextOutputter format), sharded one file
-    per block like write_json/write_conll/write_xml."""
-    import os
-
-    os.makedirs(path, exist_ok=True)
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        import uuid
-
-        rows = batch.to_pylist()
-        name = os.path.join(path, f"part-{uuid.uuid4().hex[:12]}.txt")
-        with open(name, "w") as f:
-            for r in rows:
-                f.write(doc_to_text(r))
-        return pa.Table.from_pydict({"file": [name],
-                                     "docs": [len(rows)]})
-
-    return docs_ds.map_batches(write_block, batch_format="pyarrow")
+    """Distributed TEXT sink (TextOutputter format): one .txt file per
+    block under ``path``."""
+    return write_sharded(docs_ds, path, "txt", doc_to_text)

@@ -32,9 +32,12 @@ Fields written (what the engine computes):
 """
 from __future__ import annotations
 
+import json
 from typing import Dict, Iterable, List, Optional
 
 import pyarrow as pa
+
+from corenlp_ray.sources.outputters import write_sharded
 
 # ------------------------------------------------------ wire primitives ----
 
@@ -206,6 +209,10 @@ def proto_block(batch: pa.Table, triples_by_url: Optional[Dict] = None
     return b"".join(out)
 
 
+_TRIPLES_SIDE = pa.schema([("url", pa.string()),
+                           ("_triples_json", pa.string())])
+
+
 def write_protobuf(ann_ds, path: str, triples_ds=None):
     """Distributed sink: annotated docs Dataset → directory of ``.pb``
     files, each a CoreNLP-compatible length-delimited Document stream,
@@ -216,15 +223,9 @@ def write_protobuf(ann_ds, path: str, triples_ds=None):
     (both sides hash-partitioned on url — no driver materialization).
 
     Returns the list of written file paths."""
-    import os
-
-    os.makedirs(path, exist_ok=True)
-
     if triples_ds is not None:
         # attach each doc's triples as a serialized side column via a
         # bucketed join on url, then write
-        import json
-
         from corenlp_ray.ops.joins import bucketed_hash_join
 
         def collapse(batch: pa.Table) -> pa.Table:
@@ -238,63 +239,31 @@ def write_protobuf(ann_ds, path: str, triples_ds=None):
             return pa.Table.from_pydict(
                 {"url": list(rows),
                  "_triples_json": [json.dumps(v) for v in rows.values()]},
-                schema=pa.schema([("url", pa.string()),
-                                  ("_triples_json", pa.string())]))
+                schema=_TRIPLES_SIDE)
+
+        def merge_json(group: pa.Table) -> pa.Table:
+            merged = []
+            for js in group["_triples_json"].to_pylist():
+                merged.extend(json.loads(js))
+            return pa.Table.from_pydict(
+                {"url": group["url"].to_pylist()[:1],
+                 "_triples_json": [json.dumps(merged)]},
+                schema=_TRIPLES_SIDE)
 
         # per-batch partial collapse, then an exact per-url merge in a
         # groupby (urls can span batches at block boundaries)
         sides = triples_ds.map_batches(collapse, batch_format="pyarrow")
-
-        def merge_json(group):
-            import pandas as pd
-
-            merged = []
-            for js in group["_triples_json"]:
-                merged.extend(json.loads(js))
-            return pd.DataFrame({"url": [group["url"].iloc[0]],
-                                 "_triples_json": [json.dumps(merged)]})
-
         sides = sides.groupby("url").map_groups(merge_json,
-                                                batch_format="pandas")
+                                                batch_format="pyarrow")
         ann_ds = bucketed_hash_join(ann_ds, sides, on="url", how="left")
 
-        def write_block(batch) -> pa.Table:
-            # pandas in: the join emits pandas blocks whose nested
-            # annotation columns (numpy arrays of lists) don't convert
-            # back to Arrow; the encoder only needs per-row indexing
-            import json as _json
-            import uuid
+    def render(row: Dict) -> bytes:
+        triples = row.get("_triples_json")
+        return _delimited(document_to_proto(
+            row, json.loads(triples) if isinstance(triples, str) else None))
 
-            rows = batch.to_dict("records")
-            blob = b"".join(
-                _delimited(document_to_proto(
-                    r, _json.loads(r["_triples_json"])
-                    if isinstance(r.get("_triples_json"), str) else None))
-                for r in rows)
-            fp = os.path.join(path, f"part-{uuid.uuid4().hex}.pb")
-            with open(fp, "wb") as fh:
-                fh.write(blob)
-            return pa.Table.from_pydict(
-                {"path": [fp], "n_docs": [len(rows)]},
-                schema=pa.schema([("path", pa.string()),
-                                  ("n_docs", pa.int64())]))
-
-        res = ann_ds.map_batches(write_block, batch_format="pandas")
-    else:
-        def write_block(batch: pa.Table) -> pa.Table:
-            import uuid
-
-            blob = proto_block(batch)
-            fp = os.path.join(path, f"part-{uuid.uuid4().hex}.pb")
-            with open(fp, "wb") as fh:
-                fh.write(blob)
-            return pa.Table.from_pydict(
-                {"path": [fp], "n_docs": [batch.num_rows]},
-                schema=pa.schema([("path", pa.string()),
-                                  ("n_docs", pa.int64())]))
-
-        res = ann_ds.map_batches(write_block, batch_format="pyarrow")
-    return sorted(r["path"] for r in res.take_all())
+    written = write_sharded(ann_ds, path, "pb", render, mode="wb")
+    return sorted(r["file"] for r in written.take_all())
 
 
 # ----------------------------------------------------------- wire reader ----

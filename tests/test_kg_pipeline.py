@@ -160,8 +160,8 @@ def test_canonical_tie_break_both_regimes(ray_session, vocab_broadcast_max):
     and empty surfaces never enter the alias vocabulary."""
     import ray.data as rd
 
-    from corenlp_ray.stages.canonicalize import (_alias_totals,
-                                                 resolve_alias_scale)
+    from corenlp_ray.stages import canonicalize as cz
+    from corenlp_ray.stages.canonicalize import resolve_alias_scale
 
     pairs = [("Ibm", "Acme"), ("IBM", "ACME"), ("IBM", ""), ("Ibm", None),
              (None, "acme"), ("", "Acme")]
@@ -170,8 +170,14 @@ def test_canonical_tie_break_both_regimes(ray_session, vocab_broadcast_max):
             for i, (s, o) in enumerate(pairs)]
     ds = rd.from_items(rows)
     # "IBM"/"Ibm" tie at 2; "Acme" (2) beats "ACME" and "acme" (1 each)
-    vocab = _alias_totals(ds).to_pandas()
-    assert sorted(vocab["surface"]) == ["ACME", "Acme", "IBM", "Ibm", "acme"]
+    # the merged vocabulary: the bucket aggregate's rows, before the pick
+    partials = ds.map_batches(
+        lambda b: cz._tag_bucket(cz._surface_partial_counts(b), "norm",
+                                 "norm_bucket", 2), batch_format="pyarrow")
+    vocab = cz._bucket_aggregate(partials, "norm_bucket", cz._sum_counts,
+                                 lambda rows: rows, None)
+    assert sorted(r["surface"] for r in vocab.take_all()) == [
+        "ACME", "Acme", "IBM", "Ibm", "acme"]
 
     alias, resolved = resolve_alias_scale(
         ds, vocab_broadcast_max=vocab_broadcast_max)

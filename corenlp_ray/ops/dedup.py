@@ -318,57 +318,60 @@ def _attach_pair_columns(pairs_ds, side_ds, cols: Dict[str, str],
 
 
 # docs at/below which the signature table broadcasts to the verify
-# actors instead of shuffling through two bucketed joins (num_perm=64 →
-# 512 B/doc → ≤ ~1 GB per actor at the cap; join-back above)
+# tasks instead of shuffling through two bucketed joins (num_perm=64 →
+# 512 B/doc → ≤ ~1 GB in the object store at the cap, one copy per
+# node; join-back above)
 _SIG_BROADCAST_MAX = 2_000_000
+
+_EDGE_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                          ("est_jaccard", pa.float64())])
+
+
+def _sig_index(num_perm: int, *tables: pa.Table):
+    """The materialized signature blocks → (doc ids sorted, the
+    (n, num_perm) uint64 signature matrix in the same order). The sort
+    is stable, so among rows of a repeated doc id the last one ends up
+    rightmost — the row ``_BroadcastSigVerify`` looks up."""
+    tables = [t for t in tables if t.num_rows]
+    if not tables:
+        return (np.zeros(0, dtype=np.int64),
+                np.zeros((0, num_perm), dtype=np.uint64))
+    t = pa.concat_tables(tables)
+    ids = t.column("doc_id").to_numpy()
+    S = np.frombuffer(b"".join(t.column("sig").to_pylist()),
+                      dtype=np.uint64).reshape(len(ids), num_perm)
+    order = np.argsort(ids, kind="stable")
+    return ids[order], S[order]
 
 
 class _BroadcastSigVerify:
-    """Verify actor for the small-corpus regime: fetches the
-    materialized signature blocks from the OBJECT STORE once per actor
-    (never via the driver), builds one contiguous (n, num_perm) uint64
-    matrix + id→row index, then estimates Jaccard for each candidate
-    pair vectorized."""
+    """Verify stage of the small-corpus regime, shipped to plain tasks:
+    ``index_ref`` is the ObjectRef of one ``_sig_index`` result, which
+    each task reads zero-copy from its local object store on its first
+    batch; candidate pairs find their rows by ``np.searchsorted`` and
+    the estimated Jaccard runs vectorized per Arrow batch."""
 
-    def __init__(self, refs, num_perm: int, threshold: float):
-        import ray
-
-        tbls = ray.get(list(refs))
-        ids, sig_bufs = [], []
-        for t in tbls:
-            if t.num_rows:
-                ids.append(np.asarray(t.column("doc_id").to_pylist(),
-                                      dtype=np.int64))
-                sig_bufs.append(b"".join(t.column("sig").to_pylist()))
-        if ids:
-            all_ids = np.concatenate(ids)
-            self.S = np.frombuffer(b"".join(sig_bufs), dtype=np.uint64) \
-                .reshape(len(all_ids), num_perm)
-            self.row = {int(i): r for r, i in enumerate(all_ids)}
-        else:
-            self.S = np.zeros((0, num_perm), dtype=np.uint64)
-            self.row = {}
+    def __init__(self, index_ref, threshold: float):
+        self.index_ref = index_ref
         self.threshold = threshold
+        self.index = None
 
-    def __call__(self, batch: "pd.DataFrame") -> "pd.DataFrame":
-        empty = pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                              "doc_b": pd.Series([], dtype="int64"),
-                              "est_jaccard": pd.Series([],
-                                                       dtype="float64")})
-        if not len(batch):
-            return empty
-        ra = np.fromiter((self.row[int(a)] for a in batch["doc_a"]),
-                         dtype=np.int64, count=len(batch))
-        rb = np.fromiter((self.row[int(b)] for b in batch["doc_b"]),
-                         dtype=np.int64, count=len(batch))
-        est = (self.S[ra] == self.S[rb]).mean(axis=1)
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return _EDGE_SCHEMA.empty_table()
+        if self.index is None:
+            import ray
+
+            self.index = ray.get(self.index_ref)
+        ids, S = self.index
+        a, b = batch.column("doc_a"), batch.column("doc_b")
+        ra, rb = (np.searchsorted(ids, c.to_numpy(), side="right") - 1
+                  for c in (a, b))
+        est = (S[ra] == S[rb]).mean(axis=1)
         keep = est >= self.threshold
-        if not keep.any():
-            return empty
-        return pd.DataFrame(
-            {"doc_a": batch["doc_a"].values[keep].astype("int64"),
-             "doc_b": batch["doc_b"].values[keep].astype("int64"),
-             "est_jaccard": est[keep]})
+        return pa.Table.from_arrays(
+            [a.filter(keep), b.filter(keep), pa.array(est[keep])],
+            schema=_EDGE_SCHEMA)
 
 
 def minhash_verified_edges(docs_ds, num_perm: int = 64, bands: int = 16,
@@ -436,22 +439,20 @@ def minhash_verified_edges(docs_ds, num_perm: int = 64, bands: int = 16,
             .map_batches(_pairs_only, batch_format="pyarrow").materialize())
 
     # small-corpus regime: the materialized signature table fits a
-    # worker heap (num_perm×8 B/doc), so BROADCAST it — each verify
-    # actor fetches the blocks from the object store ONCE in __init__
-    # (never through the driver) and the two bucketed join-back
-    # shuffles disappear. Above the threshold the join-back path below
-    # is the one that scales (signatures reach only candidate pairs).
-    # Same small-side-broadcast/big-side-shuffle split as
-    # stages/canonicalize.resolve_alias_scale.
+    # worker heap (num_perm×8 B/doc), so BROADCAST it — one task builds
+    # the sorted index from the signature blocks (never through the
+    # driver), and the verify tasks share its one object-store copy; the
+    # two bucketed join-back shuffles disappear. Above the threshold
+    # the join-back path below is the one that scales (signatures reach
+    # only candidate pairs). Same small-side-broadcast/big-side-shuffle
+    # split as stages/canonicalize.resolve_alias_scale.
     if n_docs <= _SIG_BROADCAST_MAX:
-        from corenlp_ray.ops._partition import fixed_pool
+        import ray
 
-        refs = sigs.to_arrow_refs()
-        return cand.map_batches(
-            _BroadcastSigVerify, batch_format="pandas",
-            fn_constructor_kwargs={"refs": refs, "num_perm": num_perm,
-                                   "threshold": threshold},
-            concurrency=fixed_pool(), num_cpus=0.5)
+        index_ref = ray.remote(_sig_index).remote(num_perm,
+                                                  *sigs.to_arrow_refs())
+        return cand.map_batches(_BroadcastSigVerify(index_ref, threshold),
+                                batch_format="pyarrow")
     j_schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
                           ("sig_a", pa.binary())])
 

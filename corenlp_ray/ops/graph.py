@@ -179,10 +179,10 @@ def triangle_count(edges_ds, src_col: str = "subj", dst_col: str = "obj"):
     # (a CPU-scaled count costs all-to-alls × hundreds of near-empty
     # partitions of pure scheduling overhead) while a 10^12-edge KG
     # still fans out wide
-    from corenlp_ray.ops._partition import fixed_pool
+    from corenlp_ray.ops._partition import cluster_cpus
 
     n_edges = edges.count()
-    npart = max(4, min(fixed_pool(divisor=1), n_edges // 5000 + 1))
+    npart = max(4, min(cluster_cpus(), n_edges // 5000 + 1))
 
     # ---- orient by (deg, node): u -> v iff (deg_u, u) < (deg_v, v) ----
     def orient_arrays(b: pa.Table, dl: np.ndarray,

@@ -2,9 +2,9 @@
 
 Three shapes, matching the guide's decision table:
 
-  * ``broadcast_join`` — small side pinned once via ``ray.put``, pandas
-    merge per batch. No shuffle. (Dimension tables, dictionaries — the
-    wikidict path.)
+  * ``broadcast_join`` — small side pinned once via ``ray.put``, Arrow
+    join per batch in plain tasks. No shuffle. (Dimension tables,
+    dictionaries — the wikidict path.)
   * ``bucketed_hash_join`` — both sides large: tag rows with a side
     marker, co-partition both sides on vectorized hash(key) buckets, merge inside
     each bucket with pandas. Explicit partitioned hash join; salt knob
@@ -21,59 +21,52 @@ from typing import List, Sequence
 import pandas as pd
 import pyarrow as pa
 
-from corenlp_ray.ops._partition import import_polars, partition_codes
+from corenlp_ray.ops._partition import (cluster_cpus, import_polars,
+                                        partition_codes)
 
 
 def _npart() -> int:
-    try:
-        import ray
-
-        return max(8, 2 * int(ray.cluster_resources().get("CPU", 4)))
-    except Exception:
-        return 16
+    return max(8, 2 * cluster_cpus())
 
 
 _ARROW_JOIN_TYPE = {"inner": "inner", "left": "left outer",
                     "right": "right outer", "outer": "full outer"}
 
 
+class Joiner:
+    """map_batches callable: ``batch ⋈ right`` on the zero-copy Arrow
+    kernel (``pa.Table.join``). ``right_ref`` is a ``ray.ObjectRef`` from
+    ``ray.put(right)``; the instance is shipped to plain tasks, and each
+    task fetches the table from its local object store on its first
+    batch."""
+
+    def __init__(self, right_ref, on: List[str], join_type: str):
+        self.right_ref = right_ref
+        self.on = on
+        self.join_type = join_type
+        self.right: pa.Table | None = None
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.right is None:
+            import ray
+
+            self.right = ray.get(self.right_ref)
+        return batch.join(self.right, keys=self.on, join_type=self.join_type)
+
+
 def broadcast_join(left_ds, right: pa.Table, on: Sequence[str] | str,
                    how: str = "inner"):
-    """Join a Dataset against a small in-memory table (broadcast once).
-
-    Equality joins run on the zero-copy Arrow kernel (``pa.Table.join``
-    per batch — no pandas round-trip, round-3 verdict minor #6); batches
-    whose schemas the Arrow kernel can't join (extension/nested payload
-    columns) fall back to the pandas merge once and stay there."""
+    """Join a Dataset against a small in-memory table (broadcast once),
+    as one task map: no shuffle, no actor, no CPU reserved. ``how`` is
+    one of ``_ARROW_JOIN_TYPE``'s keys."""
     import ray
 
+    if how not in _ARROW_JOIN_TYPE:
+        raise ValueError(f"broadcast_join: unsupported how={how!r}")
     on = [on] if isinstance(on, str) else list(on)
-    arrow_how = _ARROW_JOIN_TYPE.get(how)
-    ref = ray.put((right, right.to_pandas()))
-
-    class Joiner:
-        def __init__(self):
-            self.right, self.right_df = ray.get(ref)
-            self.use_pandas = arrow_how is None
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if not self.use_pandas:
-                try:
-                    return batch.join(self.right, keys=on,
-                                      join_type=arrow_how)
-                except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-                    self.use_pandas = True
-            df = batch.to_pandas().merge(self.right_df, on=on, how=how)
-            return pa.Table.from_pandas(df, preserve_index=False)
-
-    from corenlp_ray.ops._partition import fixed_pool
-
-    # num_cpus=0.5: full fixed width, but the pool only *reserves* a
-    # quarter of the cluster — chained broadcast joins (e.g. supplier ⋈
-    # nation ⋈ region) plus the read/aggregate task pools must all fit
-    # concurrently or the streaming executor deadlocks (seen at 4 CPUs).
-    return left_ds.map_batches(Joiner, batch_format="pyarrow",
-                               concurrency=fixed_pool(), num_cpus=0.5)
+    return left_ds.map_batches(
+        Joiner(ray.put(right), on, _ARROW_JOIN_TYPE[how]),
+        batch_format="pyarrow")
 
 
 def _pandas_dtypes(ds_schema) -> dict:

@@ -1,14 +1,14 @@
 """Multimodal column plumbing: opaque binary payloads + typed metadata.
 
 Images/audio/video are ``binary`` columns with a metadata struct; decode /
-feature-extract / resize / frame-sample run as actor-pool ``map_batches``
-stages with SMALL batch sizes (payload bytes × batch_size × concurrency
-must fit the worker heap — the memory-aware sizing rule).
+feature-extract / resize / frame-sample run as plain-task ``map_batches``
+stages with SMALL batch sizes (payload bytes × batch_size × tasks per
+node must fit the worker heap — the memory-aware sizing rule).
 
 The decode kernels are STUBS (no image/audio libraries in this
 container): ``DecodeImage`` raises ``NotImplementedError`` unless
 ``fake=True``, in which case a deterministic fake decoder produces stable
-shapes/features so the Ray-side plumbing (schema, batch sizing, actor
+shapes/features so the Ray-side plumbing (schema, batch sizing, stage
 signature, output layout) is real and tested end-to-end.
 """
 from __future__ import annotations
@@ -32,16 +32,6 @@ MEDIA_SCHEMA = pa.schema([
 MEDIA_BATCH_SIZE = 32
 
 
-def _media_pool() -> dict:
-    """Fixed-width pool at fractional CPU (the repo-wide doctrine:
-    autoscaling (1,k) pools never reach width; 0.5-CPU actors keep
-    chained decode stages + read tasks schedulable on small clusters).
-    Small width — payload bytes × batch × width must fit the heap."""
-    from corenlp_ray.ops._partition import fixed_pool
-
-    return {"concurrency": fixed_pool(divisor=4), "num_cpus": 0.5}
-
-
 def synth_media_table(n: int = 16, seed: int = 0) -> pa.Table:
     """Deterministic fake media rows (payload = seeded bytes)."""
     rows = []
@@ -57,7 +47,7 @@ def synth_media_table(n: int = 16, seed: int = 0) -> pa.Table:
 
 
 class DecodeImage:
-    """Actor-pool stage: + img_feat (list<float>, a fixed-dim feature).
+    """map_batches stage: + img_feat (list<float>, a fixed-dim feature).
 
     Real decoders (PIL/cv2) plug into ``_decode``; this container has
     none, so fake=True uses a deterministic byte-histogram 'decoder'
@@ -87,7 +77,7 @@ class DecodeImage:
 
 
 class FrameSampler:
-    """Actor-pool stage for video rows: + frame_offsets_ms (uniform
+    """map_batches stage for video rows: + frame_offsets_ms (uniform
     sampling plan over duration — the decode-side contract for a real
     ffmpeg-backed sampler)."""
 
@@ -109,10 +99,7 @@ class FrameSampler:
 
 def decode_pipeline(media_ds, fake: bool = True):
     """media → decoded features + frame plans (the multimodal chain)."""
-    pool = _media_pool()
-    ds = media_ds.map_batches(DecodeImage, batch_format="pyarrow",
-                              batch_size=MEDIA_BATCH_SIZE,
-                              fn_constructor_kwargs={"fake": fake},
-                              **pool)
-    return ds.map_batches(FrameSampler, batch_format="pyarrow",
-                          batch_size=MEDIA_BATCH_SIZE, **pool)
+    ds = media_ds.map_batches(DecodeImage(fake), batch_format="pyarrow",
+                              batch_size=MEDIA_BATCH_SIZE)
+    return ds.map_batches(FrameSampler(), batch_format="pyarrow",
+                          batch_size=MEDIA_BATCH_SIZE)

@@ -32,16 +32,15 @@ def _normalize(M: np.ndarray) -> np.ndarray:
 
 
 class _BatchTopK:
-    """map_batches stage: per-batch exact cosine top-k against the
-    broadcast query matrix (fetched once per actor)."""
+    """map_batches callable: per-batch exact cosine top-k against the
+    broadcast query matrix. The instance is shipped to plain tasks, and
+    each task fetches the queries on its first batch."""
 
     def __init__(self, query_ref, k: int):
-        import ray
-
-        q = ray.get(query_ref)
-        self.Q = _normalize(np.asarray(q["vecs"], dtype=np.float64))
-        self.qids: List[int] = list(q["ids"])
+        self.query_ref = query_ref
         self.k = k
+        self.Q: np.ndarray | None = None
+        self.qids: List[int] = []
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         V = _as_matrix(batch)
@@ -50,6 +49,12 @@ class _BatchTopK:
             return pa.Table.from_pydict(
                 {"query_id": [], "vec_id": [], "cosine": []},
                 schema=_TOPK_SCHEMA)
+        if self.Q is None:
+            import ray
+
+            q = ray.get(self.query_ref)
+            self.Q = _normalize(np.asarray(q["vecs"], dtype=np.float64))
+            self.qids = list(q["ids"])
         S = _normalize(V) @ self.Q.T  # (n_batch, n_queries)
         rows = {"query_id": [], "vec_id": [], "cosine": []}
         k = min(self.k, S.shape[0])
@@ -76,11 +81,7 @@ def brute_force_topk(embeds_ds, query_vecs, query_ids=None, k: int = 10):
         Q = Q[None, :]
     qids = list(query_ids) if query_ids is not None else list(range(len(Q)))
     ref = ray.put({"vecs": Q, "ids": qids})
-    from corenlp_ray.ops._partition import fixed_pool
-
-    local = embeds_ds.map_batches(_BatchTopK, batch_format="pyarrow",
-                                  concurrency=fixed_pool(), num_cpus=0.5,
-                                  fn_constructor_args=(ref, k))
+    local = embeds_ds.map_batches(_BatchTopK(ref, k), batch_format="pyarrow")
     # global merge: k smallest of (-cosine, vec_id) per query
     heaps = {q: [] for q in qids}
     for b in local.iter_batches(batch_size=65536, batch_format="pyarrow"):

@@ -27,9 +27,10 @@ from importlib import import_module
 
 import pyarrow as pa
 
-from corenlp_ray.pipelines.registry import (Chain, Stage, _ncpus, apply,
-                                            build, extract, get, launch,
-                                            register, stage_kernel)
+from corenlp_ray.ops._partition import cluster_cpus as _ncpus  # perfbench
+from corenlp_ray.pipelines.registry import (Chain, Stage, apply, build,
+                                            extract, get, launch, register,
+                                            stage_kernel)
 from corenlp_ray.stages.canonicalize import build_kg, resolve_alias_scale
 from corenlp_ray.stages.coref import coref_batch
 from corenlp_ray.stages.depparse import DepParser

@@ -693,7 +693,7 @@ def ivf_planted_sql() -> str:
 def q_multimodal_planted(sf_dir: str):
     """Multimodal-plumbing oracle: one media row per doc_id (the same
     deterministic synth as ops/multimodal.synth_media_table) through the
-    REAL decode_pipeline actor stages (fake decoder — no image libs in
+    REAL decode_pipeline task stages (fake decoder — no image libs in
     this container, documented); the SQL-checkable surface is the
     plumbing contract: payload size, frame-sampling plan (kind/duration
     arithmetic), and the normalized-feature invariant sum(img_feat)=1.0

@@ -157,15 +157,6 @@ def stage_kernel(name: str | None = None):
     return wrap
 
 
-def _ncpus() -> int:
-    import ray
-
-    try:
-        return max(1, int(ray.cluster_resources().get("CPU", 4)))
-    except Exception:
-        return 4
-
-
 def launch(ds, cls: type, ctor: dict, **map_kwargs):
     """``cls(**ctor)`` (a ``Chain``) as ONE map_batches of plain tasks
     over ``ds`` — the only way a chain reaches a Dataset. The instance

@@ -5,7 +5,7 @@ row: actors hold shared state; everything else stays in Dataset land).
 
 ``EntityIndex`` assigns STABLE dense integer ids to canonical entity
 surfaces, first-come-first-assigned. The stage calls it once per batch
-with the batch's NOVEL surfaces only (per-actor memo caches known ids),
+with the batch's NOVEL surfaces only (a per-task memo caches known ids),
 so actor traffic is one bounded RPC per batch, not per row. At real
 cluster scale, shard the index by ``crc32(surface) % n_shards`` actors —
 ``num_shards`` implements that here.
@@ -77,9 +77,9 @@ class EntityIndex:
 class AssignEntityIds:
     """map_batches stage: + subj_id, obj_id from the shared index.
 
-    The index handle (actor refs) is shipped once per actor via
-    fn_constructor_args; each worker memoizes ids it has already seen so
-    the actor only hears about novel surfaces."""
+    The instance, holding the index handle (shard actor refs), is
+    shipped to plain tasks; each task memoizes ids it has already seen
+    so the shards only hear about novel surfaces."""
 
     def __init__(self, index: EntityIndex):
         self.index = index
@@ -104,9 +104,6 @@ class AssignEntityIds:
 
 def with_entity_ids(kg_ds, num_shards: int = 4):
     """KG Dataset → + subj_id/obj_id via the shared index actors."""
-    from corenlp_ray.ops._partition import fixed_pool
-
     index = EntityIndex(num_shards)
-    return kg_ds.map_batches(AssignEntityIds, batch_format="pyarrow",
-                             concurrency=fixed_pool(divisor=4), num_cpus=0.5,
-                             fn_constructor_args=(index,)), index
+    return kg_ds.map_batches(AssignEntityIds(index),
+                             batch_format="pyarrow"), index

@@ -380,17 +380,48 @@ def test_minhash_broadcast_and_joinback_regimes_agree(ray_session,
     rows = [{"doc_id": i, "text": base + (" shared" if i % 2 == 0
                                           else f" unique{i} words")}
             for i in range(12)]
+    # a multi-block signature index, with doc 4 listed twice
+    more = rows + [dict(rows[4])] + [
+        {"doc_id": 20 + i, "text": base + f" shared extra{i % 3}"}
+        for i in range(9)]
+    inputs = [rd.from_items(rows),
+              rd.from_items(more).repartition(4).materialize()]
+    assert inputs[1].num_blocks() == 4
 
-    def edges():
-        got = dd.minhash_verified_edges(rd.from_items(rows),
-                                        threshold=0.7).take_all()
+    def edges(docs):
+        got = dd.minhash_verified_edges(docs, threshold=0.7).take_all()
         return {(r["doc_a"], r["doc_b"], round(r["est_jaccard"], 6))
                 for r in got}
 
-    broadcast = edges()                       # n=12 ≤ threshold
+    broadcast = [edges(d) for d in inputs]    # n ≤ threshold
     monkeypatch.setattr(dd, "_SIG_BROADCAST_MAX", -1)
-    joinback = edges()                        # forced join-back path
-    assert broadcast == joinback and broadcast
+    joinback = [edges(d) for d in inputs]     # forced join-back path
+    assert broadcast == joinback and all(broadcast)
+
+
+def test_broadcast_sig_index_keeps_the_last_row_of_a_repeated_id():
+    """Over several signature blocks, a doc id listed twice resolves to
+    its last row (the row an ``{id: row}`` dict built in block order
+    keeps); ids are looked up by binary search in the sorted index."""
+    import corenlp_ray.ops.dedup as dd
+
+    def block(ids, fill):
+        return pa.table({"doc_id": pa.array(ids, pa.int64()),
+                         "sig": [np.full(4, f, np.uint64).tobytes()
+                                 for f in fill]})
+
+    # doc 5: [1,1,1,1] in the first block, [2,2,2,2] in the last
+    blocks = [block([9, 5], [2, 1]), block([], []), block([3], [2]),
+              block([5, 7], [2, 1])]
+    v = dd._BroadcastSigVerify(None, threshold=0.5)
+    v.index = dd._sig_index(4, *blocks)
+    assert v.index[0].tolist() == [3, 5, 5, 7, 9]
+    out = v(pa.table({"doc_a": pa.array([3, 5, 5], pa.int64()),
+                      "doc_b": pa.array([5, 7, 9], pa.int64())}))
+    assert out.schema == dd._EDGE_SCHEMA
+    assert out.to_pylist() == [
+        {"doc_a": 3, "doc_b": 5, "est_jaccard": 1.0},
+        {"doc_a": 5, "doc_b": 9, "est_jaccard": 1.0}]
 
 
 def test_incremental_dedup_handcrafted(ray_session):
